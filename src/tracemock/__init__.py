@@ -7,7 +7,7 @@ weighted alignment matching plus symmetric-field substitution.
 
 from .alignment import (DEFAULT_SCORING, GAP, WILDCARD, Alignment,
                         ScoringConfig, distance, global_align,
-                        pairwise_distances, relative_distance, weighted_score)
+                        pairwise_distances, relative_distance)
 from .clustering import (Cluster, ClusterSet, DistanceMatrix, centroid,
                          cluster, response_distance_matrix)
 from .emulator import (EmulatorServer, MatchOutcome, RequestMatcher,

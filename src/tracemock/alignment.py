@@ -1,25 +1,28 @@
 """Global sequence alignment over raw bytes.
 
-Two scoring schemes share one dynamic-programming core:
+Two DP kernels run the linear-gap Needleman-Wunsch recurrence:
 
-* plain Needleman-Wunsch between two byte sequences (analysis-time
-  distances, response generation), and
-* the weighted wildcard variant that scores a live request against a
-  consensus prototype, where every column cost is scaled by the
-  prototype position's weight and wildcard positions accept anything.
+* the scoring kernel, ``PrototypeScorer``, scores one request against many
+  sequences from per-column tables (match and no-match values, a gap
+  prefix, insert costs) and keeps no traceback.  Prototype matching uses
+  weighted wildcard tables; the distance matrices and the whole-library
+  baseline use plain ones (``PrototypeScorer.plain``).
+* the traceback kernel, ``_dp_fill``, fills one pair's table from a full
+  score matrix with per-row gap costs and records how each cell was
+  reached, for ``global_align`` and the profile merge of ``msa``.
 
-The DP fills each row with vectorised numpy operations.  Within a row the
-"consume b against a gap" transition is a running maximum over prefix
-sums, which is exact for linear (per-position) gap costs.  Traceback is
-reconstructed from choice records made while filling, never by re-deriving
-float comparisons, so tie-breaking (diagonal, then gap-in-b, then gap-in-a)
-is deterministic even with irrational weights.
+They stay apart because their costs have different shapes and only one
+keeps a traceback; a shared kernel would branch on its caller.
 
-The DP fill and the prototype scorer run in native kernels (``native.py``)
-when they could be built; the numpy code below stays as their reference and
-as the fallback, and both give bit-identical results.
+Within a row the "consume b against a gap" transition is a running maximum
+over prefix sums, exact for linear gap costs.  Traceback reads choice
+records made while filling, never re-derived float comparisons, so
+tie-breaking (diagonal, then gap-in-b, then gap-in-a) is deterministic.
+Both kernels run natively (``native.py``) when they could be built; the
+numpy code stays as their bit-identical reference and fallback.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,6 +82,8 @@ def as_symbols(data: bytes | bytearray | Iterable[int]) -> np.ndarray:
     """Normalise input to an int16 numpy array of symbols."""
     if isinstance(data, (bytes, bytearray)):
         return np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int16)
+    if isinstance(data, np.ndarray):
+        return np.ascontiguousarray(data, dtype=np.int16)
     arr = np.asarray(list(data), dtype=np.int16)
     return arr
 
@@ -89,7 +94,7 @@ def degap(aligned: Sequence[int]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# DP core
+# Traceback kernel
 
 
 def _dp_fill(scores: np.ndarray, up_costs: np.ndarray, left_costs: np.ndarray,
@@ -216,17 +221,37 @@ def distance(a, b, cfg: ScoringConfig = DEFAULT_SCORING) -> float:
     sb = as_symbols(b)
     if len(sa) == 0 or len(sb) == 0:
         raise EmptyInputError("distance requires non-empty inputs")
-    score = _batch_plain_scores(sa, sb[None, :], np.array([len(sb)]), cfg)[0]
-    return _normalise_distance(score, len(sa), len(sb), cfg)
+    return float(plain_distances(PrototypeScorer.plain([sb], cfg), sa)[0])
 
 
-def _normalise_distance(score: float, la: int, lb: int, cfg: ScoringConfig) -> float:
-    d = 1.0 - score / (cfg.match_score * max(la, lb))
-    return min(1.0, max(0.0, d))
+def plain_distances(scorer: "PrototypeScorer", request, start: int = 0) -> np.ndarray:
+    """distance() of the request to each sequence of a plain scorer, from ``start`` on."""
+    r = as_symbols(request)
+    scores = scorer.scores(r, start)
+    longest = np.maximum(len(r), scorer._lengths[start:])
+    d = 1.0 - scores / (scorer.cfg.match_score * longest)
+    return np.clip(d, 0.0, 1.0, out=d)
+
+
+def pairwise_distances(seqs: Sequence[bytes], cfg: ScoringConfig = DEFAULT_SCORING) -> np.ndarray:
+    """Symmetric matrix of distance() over all pairs, zero diagonal."""
+    arrs = [as_symbols(s) for s in seqs]
+    if any(len(s) == 0 for s in arrs):
+        raise EmptyInputError("pairwise distances require non-empty inputs")
+    n = len(arrs)
+    out = np.zeros((n, n))
+    if n < 2:
+        return out
+    scorer = PrototypeScorer.plain(arrs, cfg)
+    for i in range(n - 1):
+        d = plain_distances(scorer, arrs[i], i + 1)
+        out[i, i + 1:] = d
+        out[i + 1:, i] = d
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Batched scoring (one sequence against many)
+# Scoring kernel: one request against many prototypes
 
 
 def _pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -239,65 +264,11 @@ def _pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return padded, lengths
 
 
-def _batch_plain_scores(a: np.ndarray, padded: np.ndarray, lengths: np.ndarray,
-                        cfg: ScoringConfig) -> np.ndarray:
-    """Alignment scores of ``a`` against every padded row.
-
-    Padding (-1) never matches a byte; because the DP sweeps left to right,
-    reading column ``lengths[k]`` gives the exact unpadded result.
-    """
-    count, width = padded.shape
-    g = cfg.gap_penalty
-    left_cum = g * np.arange(width + 1)
-    h = np.broadcast_to(left_cum, (count, width + 1)).copy()
-    t = np.empty((count, width + 1))
-    for sym in a:
-        s = np.where(padded == sym, cfg.match_score, cfg.mismatch_penalty)
-        cand = np.maximum(h[:, :width] + s, h[:, 1:] + g)
-        t[:, 0] = h[:, 0] + g
-        t[:, 1:] = cand - left_cum[1:]
-        np.maximum.accumulate(t, axis=1, out=t)
-        h = t + left_cum
-    return h[np.arange(count), lengths]
-
-
-def pairwise_distances(seqs: Sequence[bytes], cfg: ScoringConfig = DEFAULT_SCORING) -> np.ndarray:
-    """Symmetric matrix of distance() over all pairs, zero diagonal."""
-    arrs = [as_symbols(s) for s in seqs]
-    for s in arrs:
-        if len(s) == 0:
-            raise EmptyInputError("pairwise distances require non-empty inputs")
-    n = len(arrs)
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    padded, lengths = _pad_sequences(arrs)
-    for i in range(n - 1):
-        scores = _batch_plain_scores(arrs[i], padded[i + 1:], lengths[i + 1:], cfg)
-        li = len(arrs[i])
-        maxlen = np.maximum(li, lengths[i + 1:])
-        d = 1.0 - scores / (cfg.match_score * maxlen)
-        np.clip(d, 0.0, 1.0, out=d)
-        out[i, i + 1:] = d
-        out[i + 1:, i] = d
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Weighted wildcard scoring against prototypes
-
-
-def _check_prototype(prototype: Sequence[int], weights: Sequence[float]) -> None:
-    if len(weights) != len(prototype):
-        raise LengthMismatchError(
-            f"{len(weights)} weights for a {len(prototype)}-symbol prototype")
-
-
 class PrototypeScorer:
     """Batched scorer for one or more (prototype, weights) pairs.
 
-    Precomputes the padded symbol/weight matrices and score bounds so a hot
-    matching loop only pays the per-request DP.
+    Precomputes the padded symbol matrix and per-column cost tables so a
+    hot matching loop only pays the per-request DP.
 
     A wildcard run marks an arbitrary payload section, so it matches any
     number of request bytes including zero: skipping a wildcard position
@@ -305,6 +276,9 @@ class PrototypeScorer:
     w*wildcard_score (zero under the defaults).  Skipping a literal
     position costs w*gap_penalty and inserting a byte between literals
     costs mean(w)*gap_penalty.
+
+    ``PrototypeScorer.plain`` builds the tables of plain Needleman-Wunsch
+    instead, which the distance matrices use.
     """
 
     def __init__(self, prototypes: Sequence[Sequence[int]],
@@ -313,84 +287,124 @@ class PrototypeScorer:
         if len(prototypes) != len(weight_sets):
             raise LengthMismatchError("one weight set per prototype required")
         for p, w in zip(prototypes, weight_sets):
-            _check_prototype(p, w)
+            if len(w) != len(p):
+                raise LengthMismatchError(f"{len(w)} weights for a {len(p)}-symbol prototype")
             if len(p) == 0:
                 raise EmptyInputError("prototypes must be non-empty")
-        self.cfg = cfg
         arrs = [np.asarray(list(p), dtype=np.int16) for p in prototypes]
-        self._padded, self._lengths = _pad_sequences(arrs)
-        count, width = self._padded.shape
-        self._weights = np.zeros((count, width))
+        padded, lengths = _pad_sequences(arrs)
+        count, width = padded.shape
+        weights = np.zeros((count, width))
         for row, w in enumerate(weight_sets):
-            self._weights[row, :len(w)] = np.asarray(w, dtype=float)
+            weights[row, :len(w)] = np.asarray(w, dtype=float)
 
-        wild = self._padded == WILDCARD
-        self._match = self._weights * cfg.match_score
-        self._nomatch = np.where(wild, self._weights * cfg.wildcard_score,
-                                 self._weights * cfg.mismatch_penalty)
-        gap_cols = np.where(wild, self._weights * cfg.wildcard_score,
-                            self._weights * cfg.gap_penalty)
-        self._left_cum = np.zeros((count, width + 1))
-        np.cumsum(gap_cols, axis=1, out=self._left_cum[:, 1:])
+        wild = padded == WILDCARD
+        match = weights * cfg.match_score
+        nomatch = np.where(wild, weights * cfg.wildcard_score,
+                           weights * cfg.mismatch_penalty)
+        gap_cols = np.where(wild, weights * cfg.wildcard_score,
+                            weights * cfg.gap_penalty)
+        left_cum = np.zeros((count, width + 1))
+        np.cumsum(gap_cols, axis=1, out=left_cum[:, 1:])
 
         # Insertion cost between prototype positions j-1 and j: free-ish when
         # either neighbour is a wildcard (the byte lands inside a payload
         # section), mean-weight gap penalty otherwise.
-        mean_w = self._weights.sum(axis=1) / self._lengths
-        next_wild = np.zeros((count, width + 1), dtype=bool)
-        next_wild[:, :width] = wild
-        prev_wild = np.zeros((count, width + 1), dtype=bool)
-        prev_wild[:, 1:] = wild
-        w_next = np.zeros((count, width + 1))
-        w_next[:, :width] = self._weights
-        w_prev = np.zeros((count, width + 1))
-        w_prev[:, 1:] = self._weights
-        self._insert_costs = np.where(
-            next_wild, w_next * cfg.wildcard_score,
-            np.where(prev_wild, w_prev * cfg.wildcard_score,
+        mean_w = weights.sum(axis=1) / lengths
+        edge, no_weight = np.zeros((count, 1), dtype=bool), np.zeros((count, 1))
+        wild_x = weights * cfg.wildcard_score
+        insert = np.where(
+            np.hstack([wild, edge]), np.hstack([wild_x, no_weight]),
+            np.where(np.hstack([edge, wild]), np.hstack([no_weight, wild_x]),
                      (mean_w * cfg.gap_penalty)[:, None]))
+        self._set_tables(cfg, padded, match, nomatch, left_cum, insert, lengths)
 
-        # Pointers for the native kernel; the arrays stay referenced by self.
-        self._native_arrays = tuple(np.ascontiguousarray(a, dtype) for a, dtype in (
-            (self._padded, np.int16), (self._match, np.float64),
-            (self._nomatch, np.float64), (self._left_cum, np.float64),
-            (self._insert_costs, np.float64), (self._lengths, np.int64)))
-        self._native_args = tuple(a.ctypes.data for a in self._native_arrays)
+    @classmethod
+    def plain(cls, sequences: Sequence, cfg: ScoringConfig = DEFAULT_SCORING
+              ) -> "PrototypeScorer":
+        """Scorer of plain Needleman-Wunsch against each sequence.
 
-        literal = (~wild) & (self._padded >= 0)
-        self.max_scores = np.where(literal, self._match, 0.0).sum(axis=1) + \
-            np.where(wild, self._weights * cfg.wildcard_score, 0.0).sum(axis=1)
-        self.min_scores = np.where(literal, self._weights * cfg.mismatch_penalty, 0.0).sum(axis=1) + \
-            np.where(wild, self._weights * cfg.wildcard_score, 0.0).sum(axis=1)
+        Every weight is 1, there are no wildcards and the insert cost is
+        constant.  The gap prefix is gap_penalty * j: a running sum would
+        round differently for a non-integer penalty.
+        """
+        padded, lengths = _pad_sequences([as_symbols(s) for s in sequences])
+        count, width = padded.shape
+        g = cfg.gap_penalty
+        scorer = cls.__new__(cls)
+        scorer._set_tables(
+            cfg, padded, np.full((count, width), cfg.match_score),
+            np.full((count, width), cfg.mismatch_penalty),
+            np.tile(g * np.arange(width + 1), (count, 1)),
+            np.full((count, width + 1), g), lengths)
+        return scorer
 
-    def scores(self, request) -> np.ndarray:
-        """Maximum weighted alignment score of the request per prototype."""
+    def _set_tables(self, cfg, *tables):
+        """Keep the tables contiguous and referenced, in the kernel's argument order."""
+        self.cfg = cfg
+        self._tables = tuple(np.ascontiguousarray(a, dtype) for a, dtype in zip(
+            tables, (np.int16, np.float64, np.float64, np.float64, np.float64, np.int64)))
+        (self._padded, self._match, self._nomatch, self._left_cum,
+         self._insert_costs, self._lengths) = self._tables
+        self._native_args = tuple(a.ctypes.data for a in self._tables)
+        self._row_bytes = tuple(a.strides[0] for a in self._tables)
+
+    @functools.cached_property
+    def max_scores(self) -> np.ndarray:
+        """Best gap-free score per prototype, accumulated as the DP's diagonal.
+
+        Each step is ((v + s_j) - lc[j]) + lc[j].  Rounding is monotone, so
+        a request that can take this path, such as an exact match, scores at
+        least this much and sits at relative distance 0.
+        """
+        best = np.where(self._padded == WILDCARD, self._nomatch, self._match)
+        v = np.zeros(len(self._lengths))
+        for j in range(best.shape[1]):
+            lc = self._left_cum[:, j + 1]
+            v = np.where(j < self._lengths, ((v + best[:, j]) - lc) + lc, v)
+        return v
+
+    @functools.cached_property
+    def min_scores(self) -> np.ndarray:
+        """Worst gap-free score per prototype: every literal mismatched."""
+        wild = self._padded == WILDCARD
+        literal = ~wild & (self._padded >= 0)
+        return np.where(literal, self._nomatch, 0.0).sum(axis=1) + \
+            np.where(wild, self._nomatch, 0.0).sum(axis=1)
+
+    def scores(self, request, start: int = 0) -> np.ndarray:
+        """Maximum alignment score of the request per prototype, from ``start`` on."""
+        count, width = self._padded.shape
+        if not 0 <= start <= count:
+            raise IndexError(f"start {start} outside 0..{count}")
         lib = native.kernels()
         if lib is None:
-            return self._scores_numpy(request)
+            return self._scores_numpy(request, start)
         r = as_symbols(request)
-        count, width = self._padded.shape
-        out = np.empty(count)
+        out = np.empty(count - start)
         scratch = np.empty(width + 1)
-        lib.prototype_scores(r.ctypes.data, len(r), *self._native_args,
-                             count, width, scratch.ctypes.data, out.ctypes.data)
+        tables = (arg + start * row for arg, row in zip(self._native_args, self._row_bytes))
+        lib.prototype_scores(r.ctypes.data, len(r), *tables, count - start, width,
+                             scratch.ctypes.data, out.ctypes.data)
         return out
 
-    def _scores_numpy(self, request) -> np.ndarray:
+    def _scores_numpy(self, request, start: int = 0) -> np.ndarray:
         """Reference implementation of scores(), and its fallback."""
         r = as_symbols(request)
-        count, width = self._padded.shape
-        h = self._left_cum.copy()
+        padded, match, nomatch = (self._padded[start:], self._match[start:],
+                                  self._nomatch[start:])
+        left_cum, ins = self._left_cum[start:], self._insert_costs[start:]
+        count, width = padded.shape
+        h = left_cum.copy()
         t = np.empty((count, width + 1))
-        ins = self._insert_costs
         for sym in r:
-            s = np.where(self._padded == sym, self._match, self._nomatch)
+            s = np.where(padded == sym, match, nomatch)
             cand = np.maximum(h[:, :width] + s, h[:, 1:] + ins[:, 1:])
             t[:, :1] = h[:, :1] + ins[:, :1]
-            t[:, 1:] = cand - self._left_cum[:, 1:]
+            t[:, 1:] = cand - left_cum[:, 1:]
             np.maximum.accumulate(t, axis=1, out=t)
-            h = t + self._left_cum
-        return h[np.arange(count), self._lengths]
+            h = t + left_cum
+        return h[np.arange(count), self._lengths[start:]]
 
     def relative_distances(self, request) -> np.ndarray:
         """d_rel per prototype, each clamped to [0, 1]; degenerate -> 1.0."""
@@ -403,36 +417,6 @@ class PrototypeScorer:
         return out
 
 
-def weighted_score(prototype: Sequence[int], weights: Sequence[float], request,
-                   cfg: ScoringConfig = DEFAULT_SCORING) -> float:
-    """Maximum weighted wildcard alignment score of a request vs a prototype.
-
-    Column score is w*match for an equal literal, w*mismatch for an unequal
-    literal and w*wildcard_score whenever the prototype symbol is WILDCARD.
-    """
-    return float(PrototypeScorer([prototype], [weights], cfg).scores(request)[0])
-
-
-def prototype_score_bounds(prototype: Sequence[int], weights: Sequence[float],
-                           cfg: ScoringConfig = DEFAULT_SCORING) -> tuple[float, float]:
-    """(best, worst) gap-free alignment scores for the prototype.
-
-    The worst case pairs every position with a symbol unequal to all
-    prototype symbols, so literals score w*mismatch and wildcards
-    w*wildcard_score.
-    """
-    _check_prototype(prototype, weights)
-    best = worst = 0.0
-    for sym, w in zip(prototype, weights):
-        if sym == WILDCARD:
-            best += w * cfg.wildcard_score
-            worst += w * cfg.wildcard_score
-        else:
-            best += w * cfg.match_score
-            worst += w * cfg.mismatch_penalty
-    return best, worst
-
-
 def relative_distance(prototype: Sequence[int], weights: Sequence[float], request,
                       cfg: ScoringConfig = DEFAULT_SCORING) -> float:
     """Score-normalised match distance in [0, 1]; 0 is the best possible match.
@@ -441,11 +425,4 @@ def relative_distance(prototype: Sequence[int], weights: Sequence[float], reques
     distance 1.0 (the caller is expected to have been warned at model build
     time).
     """
-    if len(prototype) == 0:
-        raise EmptyInputError("relative_distance requires a non-empty prototype")
-    best, worst = prototype_score_bounds(prototype, weights, cfg)
-    if not best > worst:
-        return 1.0
-    s = weighted_score(prototype, weights, request, cfg)
-    d = 1.0 - (s - worst) / (best - worst)
-    return min(1.0, max(0.0, d))
+    return float(PrototypeScorer([prototype], [weights], cfg).relative_distances(request)[0])

@@ -121,7 +121,8 @@ class EmulatorServer:
         return self._sock.getsockname()[:2]
 
     def start(self) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # asyncio sets TCP_NODELAY on accepted sockets only if proto is TCP.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind(self._listen)
         sock.listen(128)

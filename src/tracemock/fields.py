@@ -71,8 +71,9 @@ def project_field(alignment, field: SymmetricField) -> bytes:
 
     ``alignment`` must be global_align(live_request, recorded_request).
     The projection spans from the column holding the field's first recorded
-    byte to the column holding its last one, keeping any live bytes inserted
-    between them and dropping gap positions.
+    byte to the column holding its last one, widened over the live-only
+    columns (recorded GAP) that directly border it, so a live value longer
+    than the recorded one is taken whole.  Gap positions are dropped.
     """
     live, recorded = alignment.aligned_a, alignment.aligned_b
     first = field.request_offset
@@ -90,6 +91,10 @@ def project_field(alignment, field: SymmetricField) -> bytes:
         pos += 1
     if span_start is None or span_end is None:
         return b""
+    while span_start > 0 and recorded[span_start - 1] == GAP:
+        span_start -= 1
+    while span_end + 1 < len(recorded) and recorded[span_end + 1] == GAP:
+        span_end += 1
     return bytes(s for s in live[span_start:span_end + 1] if s != GAP)
 
 

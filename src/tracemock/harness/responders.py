@@ -10,8 +10,8 @@
 
 import numpy as np
 
-from ..alignment import (DEFAULT_SCORING, ScoringConfig, _batch_plain_scores,
-                         _pad_sequences, as_symbols)
+from ..alignment import (DEFAULT_SCORING, PrototypeScorer, ScoringConfig,
+                         plain_distances)
 from ..emulator import RequestMatcher
 from ..errors import EmptyLibraryError
 from ..fields import (DEFAULT_MIN_FIELD_LENGTH, find_symmetric_fields,
@@ -48,17 +48,12 @@ class WholeLibraryResponder:
         self.library = library
         self.scoring = scoring
         self.min_field_length = min_field_length
-        self._arrays = [as_symbols(t.request) for t in library]
-        self._padded, self._lengths = _pad_sequences(self._arrays)
+        self._scorer = PrototypeScorer.plain(library.requests(), scoring)
         self._indices = np.array(library.indices)
         self._fields_cache: dict[int, tuple] = {}
 
     def _nearest_position(self, request: bytes) -> int:
-        r = as_symbols(request)
-        scores = _batch_plain_scores(r, self._padded, self._lengths, self.scoring)
-        maxlen = np.maximum(len(r), self._lengths)
-        dist = 1.0 - scores / (self.scoring.match_score * maxlen)
-        np.clip(dist, 0.0, 1.0, out=dist)
+        dist = plain_distances(self._scorer, request)
         best = dist.min()
         tied = np.flatnonzero(dist == best)
         return int(tied[np.argmin(self._indices[tied])])  # lowest tx index

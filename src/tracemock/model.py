@@ -32,7 +32,7 @@ from .clustering import cluster, response_distance_matrix
 from .errors import (EmptyLibraryError, ModelFormatError, ModelVersionError)
 from .fields import (DEFAULT_MIN_FIELD_LENGTH, SymmetricField,
                      find_symmetric_fields)
-from .msa import AlignmentProfile, progressive_align
+from .msa import AlignmentProfile, _column_counts, progressive_align
 from .trace import Transaction, TransactionLibrary
 
 logger = logging.getLogger(__name__)
@@ -107,12 +107,9 @@ class OpaqueServiceModel:
 
 def occurrence_table(profile: AlignmentProfile) -> OccurrenceTable:
     """Exact symbol counts for every profile column."""
-    mat = profile.matrix()
-    columns = []
-    for col in range(mat.shape[1]):
-        syms, counts = np.unique(mat[:, col], return_counts=True)
-        columns.append({int(s): int(c) for s, c in zip(syms, counts)})
-    return OccurrenceTable(tuple(columns), len(profile.rows))
+    columns = tuple({int(s): int(row[s]) for s in np.flatnonzero(row)}
+                    for row in _column_counts(profile.matrix()))
+    return OccurrenceTable(columns, len(profile.rows))
 
 
 def _modal_symbol(column: dict[int, int]) -> tuple[int, int]:
@@ -165,13 +162,13 @@ def entropy_weights(profile: AlignmentProfile,
     The gap symbol counts as an ordinary symbol; a fully conserved column
     has H = 0 and weight 1.  Weights always lie in (0, 1].
     """
-    mat = profile.matrix()
-    rows = mat.shape[0]
+    rows = len(profile.rows)
+    table = _column_counts(profile.matrix())
     weights = []
     for col in source_columns:
-        _, counts = np.unique(mat[:, col], return_counts=True)
+        counts = table[col]
         h = 0.0
-        for c in counts:
+        for c in counts[counts > 0]:
             p = c / rows
             h -= p * math.log(p)
         weights.append(1.0 / (1.0 + h))

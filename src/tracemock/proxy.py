@@ -8,12 +8,14 @@ logged, not recorded.  Indices are assigned sequentially from 0 in pairing
 order across all connections.
 """
 
+import contextlib
 import logging
 import socket
 import threading
 import time
 
-from .errors import FramingTimeoutError, TargetUnreachableError
+from .errors import (FramingProtocolError, FramingTimeoutError,
+                     TargetUnreachableError)
 from .framing import FramingConfig, MessageStream
 from .trace import Transaction, TransactionLibrary, save_library
 
@@ -26,7 +28,8 @@ class RecordingProxy:
     """Threaded TCP proxy that records framed exchanges.
 
     Appends to the in-memory library under a lock, so indices stay unique
-    and ordering is the pairing order even with concurrent clients.
+    and ordering is the pairing order even with concurrent clients.  Each
+    connection's thread is tracked only while it runs.
     """
 
     def __init__(self, listen: tuple[str, int], target: tuple[str, int],
@@ -37,9 +40,10 @@ class RecordingProxy:
         self.response_timeout_ms = response_timeout_ms
         self._listen = listen
         self._transactions: list[Transaction] = []
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards _transactions and _live
+        self._live: dict[threading.Thread, list[socket.socket]] = {}
         self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._acceptor: threading.Thread | None = None
         self._stopping = threading.Event()
 
     @property
@@ -59,10 +63,9 @@ class RecordingProxy:
         sock.bind(self._listen)
         sock.listen(64)
         self._sock = sock
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True,
-                                    name="proxy-accept")
-        acceptor.start()
-        self._threads.append(acceptor)
+        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True,
+                                          name="proxy-accept")
+        self._acceptor.start()
         logger.info("recording %s:%d -> %s:%d", *self.address, *self.target)
         return self.address
 
@@ -74,8 +77,9 @@ class RecordingProxy:
                 return
             worker = threading.Thread(target=self._handle, args=(conn, peer),
                                       daemon=True)
+            with self._lock:  # stop() reads _live only after joining this thread
+                self._live[worker] = [conn]
             worker.start()
-            self._threads.append(worker)
 
     def _connect_target(self) -> socket.socket:
         try:
@@ -85,15 +89,14 @@ class RecordingProxy:
                 f"cannot connect to {self.target[0]}:{self.target[1]}: {exc}")
 
     def _handle(self, conn: socket.socket, peer):
-        client = MessageStream(conn, self.framing)
         try:
             upstream = self._connect_target()
-        except TargetUnreachableError as exc:
-            logger.error("peer=%s %s", peer, exc)
-            client.close()
-            return
-        target = MessageStream(upstream, self.framing)
-        try:
+            with self._lock:
+                self._live[threading.current_thread()].append(upstream)
+                if self._stopping.is_set():  # stop() may be past its sweep
+                    _shutdown(upstream)
+            client = MessageStream(conn, self.framing)
+            target = MessageStream(upstream, self.framing)
             while not self._stopping.is_set():
                 request = client.read()
                 if request is None:
@@ -114,22 +117,40 @@ class RecordingProxy:
                 with self._lock:
                     index = len(self._transactions)
                     self._transactions.append(Transaction(index, request, response))
-        except (ConnectionError, OSError) as exc:
+        except TargetUnreachableError as exc:
+            logger.error("peer=%s %s", peer, exc)
+        except (ConnectionError, OSError, FramingProtocolError) as exc:
             logger.warning("peer=%s connection error: %s", peer, exc)
         finally:
-            client.close()
-            target.close()
+            with self._lock:
+                for sock in self._live.pop(threading.current_thread()):
+                    sock.close()
 
     def stop(self) -> TransactionLibrary:
+        """Stop accepting, end every connection and return the library.
+
+        close() wakes neither a blocked accept() nor recv() on Linux, so the
+        sockets are shut down first.  Handlers record a reply they have sent
+        before they end, and stop() joins them, so the library holds it.
+        """
         self._stopping.set()
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
+            _shutdown(self._sock)
+            self._sock.close()
+        if self._acceptor is not None:
+            self._acceptor.join(timeout=2.0)
+        with self._lock:
+            for sock in (s for socks in self._live.values() for s in socks):
+                _shutdown(sock)
+            handlers = list(self._live)
+        for t in handlers:
             t.join(timeout=2.0)
         return self.library
+
+
+def _shutdown(sock: socket.socket) -> None:
+    with contextlib.suppress(OSError):  # already closed, or never connected
+        sock.shutdown(socket.SHUT_RDWR)
 
 
 def record_proxy(listen: tuple[str, int], target: tuple[str, int],

@@ -10,11 +10,15 @@ from oracles import (brute_force_score, brute_force_weighted_score,
 from tracemock.alignment import (DEFAULT_SCORING, GAP, WILDCARD, PrototypeScorer,
                                  ScoringConfig, as_symbols, degap, distance,
                                  global_align, pairwise_distances,
-                                 prototype_score_bounds, relative_distance,
-                                 weighted_score)
+                                 relative_distance)
 from tracemock.errors import EmptyInputError, LengthMismatchError
 
 byte_seq = st.binary(min_size=1, max_size=24)
+
+
+def score_one(prototype, weights, request):
+    """Score of one request against one prototype through PrototypeScorer."""
+    return PrototypeScorer([prototype], [weights]).scores(request)[0]
 
 
 class TestScoringConfig:
@@ -128,20 +132,20 @@ class TestDistance:
 
 class TestWeightedScore:
     def test_all_match(self):
-        assert weighted_score(tuple(b"AB"), (1.0, 1.0), b"AB") == 2.0
+        assert score_one(tuple(b"AB"), (1.0, 1.0), b"AB") == 2.0
 
     def test_match_plus_wildcard(self):
         proto = (ord("A"), WILDCARD)
-        assert weighted_score(proto, (1.0, 1.0), b"AZ") == 1.0
+        assert score_one(proto, (1.0, 1.0), b"AZ") == 1.0
 
     def test_weights_scale_columns(self):
         proto = tuple(b"AB")
-        assert weighted_score(proto, (0.25, 1.0), b"AB") == 1.25
-        assert weighted_score(proto, (0.25, 1.0), b"XB") == 0.75
+        assert score_one(proto, (0.25, 1.0), b"AB") == 1.25
+        assert score_one(proto, (0.25, 1.0), b"XB") == 0.75
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
-            weighted_score(tuple(b"AB"), (1.0,), b"AB")
+            score_one(tuple(b"AB"), (1.0,), b"AB")
 
     def test_against_brute_force_enumeration(self):
         rng = random.Random(17)
@@ -151,7 +155,7 @@ class TestWeightedScore:
                           for _ in range(plen))
             weights = tuple(rng.choice([0.25, 0.5, 1.0]) for _ in range(plen))
             req = bytes(rng.choice(b"abcd") for _ in range(rng.randrange(6)))
-            got = weighted_score(proto, weights, req)
+            got = score_one(proto, weights, req)
             want = brute_force_weighted_score(proto, weights, req, DEFAULT_SCORING)
             assert got == pytest.approx(want), (proto, weights, req)
 
@@ -162,7 +166,7 @@ class TestWeightedScore:
         proto = tuple(b"{id:") + (WILDCARD, WILDCARD) + tuple(b",op:A,")
         weights = (1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 0.9, 1.0)
         req = b"{id:37,op:A,"
-        got = weighted_score(proto, weights, req)
+        got = score_one(proto, weights, req)
         want = recursive_weighted_score(proto, weights, req, DEFAULT_SCORING)
         assert got == pytest.approx(want)
 
@@ -195,9 +199,9 @@ class TestRelativeDistance:
     def test_bounds_formula(self):
         proto = (ord("A"), WILDCARD, ord("B"))
         weights = (0.5, 0.25, 1.0)
-        best, worst = prototype_score_bounds(proto, weights)
-        assert best == pytest.approx(0.5 + 0.0 + 1.0)
-        assert worst == pytest.approx(-0.5 + 0.0 - 1.0)
+        scorer = PrototypeScorer([proto], [weights])
+        assert scorer.max_scores[0] == pytest.approx(0.5 + 0.0 + 1.0)
+        assert scorer.min_scores[0] == pytest.approx(-0.5 + 0.0 - 1.0)
 
     def test_fuzzed_range_and_scale_invariance(self):
         rng = random.Random(3)
@@ -223,7 +227,7 @@ class TestRelativeDistance:
         for req in (b"{id:99,op:S}", b"zzzz", b"plain", b"x"):
             batch = scorer.scores(req)
             for k, (p, w) in enumerate(zip(protos, weights)):
-                assert batch[k] == pytest.approx(weighted_score(p, w, req))
+                assert batch[k] == pytest.approx(score_one(p, w, req))
             rel = scorer.relative_distances(req)
             for k, (p, w) in enumerate(zip(protos, weights)):
                 assert rel[k] == pytest.approx(relative_distance(p, w, req))

@@ -12,7 +12,8 @@ from tracemock.fields import (SymmetricField, find_symmetric_fields,
                               project_field, substitute_response)
 from tracemock.framing import FramingConfig, MessageStream
 from tracemock.harness import (PAPER_ADD_INDICES, PAPER_SEARCH_INDICES,
-                               paper_example_library)
+                               default_protocol_spec, paper_example_library,
+                               synthetic_library)
 from tracemock.model import (MatchingNode, OpaqueServiceModel, Prototype,
                              build_model)
 from tracemock.trace import Transaction
@@ -116,6 +117,17 @@ class TestProjectField:
         field = SymmetricField(0, 11, 0, 11)
         assert project_field(aln, field) == b"{id:9999,op:A"
 
+    def test_live_value_longer_than_recorded_is_echoed_whole(self):
+        lib, _ = synthetic_library(default_protocol_spec(), 300, seed=11)
+        matcher = RequestMatcher(build_model(lib, 5))
+        reply, _ = matcher.respond(b"{id:86196,op:D,sn:Whitaker}")
+        assert b"removed:Whitaker" in reply
+
+    def test_projection_takes_live_bytes_bordering_the_field(self):
+        aln = global_align(b"xWhitaker}", b"xWhite}")
+        field = SymmetricField(1, 5, 0, 5)
+        assert project_field(aln, field) == b"Whitaker"
+
     def test_substitute_multiple_fields(self):
         req = b"AAAA-BBBB"
         rsp = b"xBBBByAAAAz"
@@ -132,6 +144,18 @@ class TestMatchRequest:
         out = match_request(model, b"PING")
         assert out.chosen == 0
         assert dict(out.distances)[0] == 0.0
+
+    def test_exact_match_with_uneven_weights_distance_zero(self):
+        # Summing these weights rounds below the DP's own path, which left
+        # an exact match at 2.2e-16 instead of 0.
+        proto = tuple(b"acccaabc")
+        weights = (0.678744846397139, 0.7264632954876644, 0.4746045363420724,
+                   0.16084714078779133, 0.7961378716446719, 0.12635399609282238,
+                   0.5066091852984449, 0.6973982398428363)
+        node = MatchingNode(0, Prototype(proto, tuple(range(len(proto)))), weights,
+                            Transaction(0, b"acccaabc", b"ok"), ())
+        model = OpaqueServiceModel((node,), DEFAULT_SCORING, 0.8)
+        assert match_request(model, b"acccaabc").distances == ((0, 0.0),)
 
     def test_paper_request_selects_add(self, paper_matcher, paper_model):
         out = paper_matcher.match(b"{id:37,op:A,sn:Durand}")
@@ -234,6 +258,22 @@ class TestServer:
             t.join(timeout=20)
         server.stop()
         assert failures == []
+
+    def test_accepted_connections_set_nodelay(self, paper_model):
+        framing = FramingConfig("length", length_prefix_bytes=4)
+        server = EmulatorServer(paper_model, ("127.0.0.1", 0), framing)
+        host, port = server.start()
+        try:
+            with socket.create_connection((host, port), timeout=5) as sock:
+                stream = MessageStream(sock, framing)
+                stream.write(b"{id:1,op:A,sn:Fast}")
+                assert stream.read() == b"{id:1,op:AddRsp,result:Ok}"
+                (writer,) = server._writers
+                accepted = writer.get_extra_info("socket")
+                assert accepted.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) != 0
+        finally:
+            server.stop()
 
     def test_sequential_connections_leave_no_threads(self, paper_model):
         framing = FramingConfig("length", length_prefix_bytes=4)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_score, brute_force_weighted_score
 from tracemock import native
 from tracemock.alignment import (WILDCARD, PrototypeScorer, ScoringConfig,
-                                 _dp_fill, _dp_fill_numpy, global_align)
+                                 _dp_fill, _dp_fill_numpy, distance,
+                                 global_align, pairwise_distances)
 from tracemock.emulator import RequestMatcher
 from tracemock.harness import (default_protocol_spec, paper_example_library,
                                synthetic_library)
@@ -111,6 +112,23 @@ def test_prototype_scores_match_oracle(protos, cfg, req):
                         ScoringConfig(1.0, 0.0, 0.0)]))
 def test_global_align_matches_oracle(a, b, cfg):
     assert global_align(a, b, cfg).score == brute_force_score(a, b, cfg)
+
+
+@given(st.lists(st.lists(st.sampled_from(b"abc"), min_size=1, max_size=4).map(bytes),
+                min_size=1, max_size=4), configs)
+def test_plain_distances_equal_numpy_and_oracle(seqs, cfg):
+    matrix = pairwise_distances(seqs, cfg)
+    pairs = [[distance(a, b, cfg) for b in seqs] for a in seqs]
+    with numpy_path():
+        assert np.array_equal(pairwise_distances(seqs, cfg), matrix)
+        assert [[distance(a, b, cfg) for b in seqs] for a in seqs] == pairs
+    for i, a in enumerate(seqs):
+        for j, b in enumerate(seqs):
+            score = brute_force_score(a, b, cfg)
+            want = min(1.0, max(0.0, 1.0 - score / (cfg.match_score * max(len(a), len(b)))))
+            assert pairs[i][j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if i < j:
+                assert matrix[i, j] == matrix[j, i] == pairs[i][j]
 
 
 def test_responses_identical_on_both_paths():

@@ -155,3 +155,52 @@ def test_concurrent_clients_unique_indices():
     assert sorted(t.index for t in library) == list(range(36))
     for t in library:
         assert t.response == b"echo:" + t.request
+
+
+def test_sequential_connections_leave_no_finished_threads_tracked():
+    echo = EchoServer(FRAMING)
+    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    host, port = proxy.start()
+    try:
+        for i in range(200):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                stream = MessageStream(sock, FRAMING)
+                stream.write(b"seq-%d" % i)
+                assert stream.read() == b"echo:seq-%d" % i
+            with proxy._lock:
+                tracked = list(proxy._live)
+            assert all(t.is_alive() for t in tracked)
+        deadline = time.monotonic() + 5
+        while proxy._live and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not proxy._live
+        library = proxy.stop()
+    finally:
+        echo.close()
+    assert len(library) == 200
+
+
+def test_stop_with_idle_peers_is_prompt_and_keeps_replies():
+    echo = EchoServer(FRAMING)
+    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    host, port = proxy.start()
+    peers = []
+    try:
+        for i in range(2):
+            sock = socket.create_connection((host, port), timeout=5)
+            peers.append(sock)
+            stream = MessageStream(sock, FRAMING)
+            stream.write(b"idle-%d" % i)
+            assert stream.read() == b"echo:idle-%d" % i
+        started = time.perf_counter()
+        library = proxy.stop()
+        assert time.perf_counter() - started < 1.0
+        assert sorted(t.request for t in library) == [b"idle-0", b"idle-1"]
+        assert not proxy._live
+        for sock in peers:
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+    finally:
+        echo.close()
+        for sock in peers:
+            sock.close()
