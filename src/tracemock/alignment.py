@@ -7,9 +7,11 @@ Two DP kernels run the linear-gap Needleman-Wunsch recurrence:
   prefix, insert costs) and keeps no traceback.  Prototype matching uses
   weighted wildcard tables; the distance matrices and the whole-library
   baseline use plain ones (``PrototypeScorer.plain``).
-* the traceback kernel, ``_dp_fill``, fills one pair's table from a full
-  score matrix with per-row gap costs and records how each cell was
-  reached, for ``global_align`` and the profile merge of ``msa``.
+* the traceback kernel fills one pair's table from a full score matrix
+  with per-row gap costs and records how each cell was reached
+  (``_dp_fill``), then walks those records back into the moves of one
+  optimal path (``_traceback``), for ``global_align`` and the profile
+  merge of ``msa``.
 
 They stay apart because their costs have different shapes and only one
 keeps a traceback; a shared kernel would branch on its caller.
@@ -18,8 +20,15 @@ Within a row the "consume b against a gap" transition is a running maximum
 over prefix sums, exact for linear gap costs.  Traceback reads choice
 records made while filling, never re-derived float comparisons, so
 tie-breaking (diagonal, then gap-in-b, then gap-in-a) is deterministic.
-Both kernels run natively (``native.py``) when they could be built; the
-numpy code stays as their bit-identical reference and fallback.
+
+A path is a uint8 array with one move per alignment column: ADVANCE_A,
+ADVANCE_B, or both bits.  Callers read positions from it directly (the MSA
+merge places rows with it, field projection slices the live request with
+it); ``Alignment`` builds the gap-padded rows only when they are read.
+
+Both kernels run natively (``native.py``) when they could be built.  The
+numpy fill and the Python walk ``_trace_moves`` stay as their bit-identical
+reference and fallback.
 """
 
 import functools
@@ -64,18 +73,52 @@ class ScoringConfig:
 DEFAULT_SCORING = ScoringConfig()
 
 
-@dataclass(frozen=True)
+# Bits of one traceback move: the column consumes a symbol of a, of b, or both.
+ADVANCE_A = 1
+ADVANCE_B = 2
+
+
+@dataclass(frozen=True, eq=False)
 class Alignment:
     """A global alignment of two sequences.
 
-    ``aligned_a`` and ``aligned_b`` have equal length, contain byte values
-    plus GAP, and never hold GAP in the same position.  Removing GAPs
-    reproduces the inputs exactly.
+    ``moves`` holds one uint8 per column (ADVANCE_A, ADVANCE_B or both);
+    ``a`` and ``b`` are the input sequences as symbols.  ``aligned_a`` and
+    ``aligned_b`` are built when first read: they have equal length,
+    contain byte values plus GAP, and never hold GAP in the same position.
+    Removing GAPs reproduces the inputs exactly.  Equality and hashing
+    follow (aligned_a, aligned_b, score).
     """
 
-    aligned_a: tuple[int, ...]
-    aligned_b: tuple[int, ...]
+    moves: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     score: float
+
+    @functools.cached_property
+    def aligned_a(self) -> tuple[int, ...]:
+        return _padded_row(self.moves, self.a, ADVANCE_A)
+
+    @functools.cached_property
+    def aligned_b(self) -> tuple[int, ...]:
+        return _padded_row(self.moves, self.b, ADVANCE_B)
+
+    def _key(self):
+        return self.aligned_a, self.aligned_b, self.score
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def _padded_row(moves: np.ndarray, symbols: np.ndarray, bit: int) -> tuple[int, ...]:
+    row = np.full(len(moves), GAP, dtype=np.int16)
+    row[(moves & bit) != 0] = symbols
+    return tuple(row.tolist())
 
 
 def as_symbols(data: bytes | bytearray | Iterable[int]) -> np.ndarray:
@@ -115,15 +158,14 @@ def _dp_fill(scores: np.ndarray, up_costs: np.ndarray, left_costs: np.ndarray,
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     up_costs = np.ascontiguousarray(up_costs, dtype=np.float64)
     left_costs = np.ascontiguousarray(left_costs, dtype=np.float64)
-    h = np.empty(m + 1)
-    left_cum = np.empty(m + 1)
+    work = np.empty(2 * (m + 1))  # the final row, then the gap prefix
     k_rows = np.empty((n, m + 1), dtype=np.int32) if want_path else None
     du_rows = np.empty((n, m), dtype=bool) if want_path else None
-    lib.dp_fill(scores.ctypes.data, up_costs.ctypes.data, left_costs.ctypes.data,
-                n, m, h.ctypes.data, left_cum.ctypes.data,
-                k_rows.ctypes.data if want_path else None,
-                du_rows.ctypes.data if want_path else None)
-    return h, k_rows, du_rows
+    ptr = native.pointer
+    lib.dp_fill(ptr(scores), ptr(up_costs), ptr(left_costs), n, m, ptr(work),
+                ptr(k_rows) if want_path else None,
+                ptr(du_rows) if want_path else None)
+    return work[:m + 1], k_rows, du_rows
 
 
 def _dp_fill_numpy(scores: np.ndarray, up_costs: np.ndarray,
@@ -157,29 +199,48 @@ def _dp_fill_numpy(scores: np.ndarray, up_costs: np.ndarray,
     return h, k_rows, du_rows
 
 
-def _trace_moves(k_rows, du_rows, n: int, m: int) -> list[tuple[bool, bool]]:
-    """Reconstruct (advance_a, advance_b) moves from the fill records."""
-    moves: list[tuple[bool, bool]] = []
+def _traceback(k_rows, du_rows, n: int, m: int) -> np.ndarray:
+    """The moves of the path that _dp_fill's records pick, in forward order."""
+    lib = native.kernels()
+    if lib is None:
+        return _trace_moves(k_rows, du_rows, n, m)
+    moves = np.empty(n + m, dtype=np.uint8)
+    count = lib.dp_trace(native.pointer(k_rows), native.pointer(du_rows), n, m,
+                         native.pointer(moves))
+    return moves[:count]
+
+
+def _trace_moves(k_rows, du_rows, n: int, m: int) -> np.ndarray:
+    """Reference implementation of _traceback, and its fallback."""
+    moves: list[int] = []
     i, j = n, m
     while i > 0 or j > 0:
         if i == 0:
-            moves.append((False, True))
+            moves.append(ADVANCE_B)
             j -= 1
             continue
         k = int(k_rows[i - 1][j])
         if k < j:
-            moves.extend([(False, True)] * (j - k))
+            moves.extend([ADVANCE_B] * (j - k))
             j = k
             continue
         if j == 0 or not du_rows[i - 1][j - 1]:
-            moves.append((True, False))
+            moves.append(ADVANCE_A)
             i -= 1
         else:
-            moves.append((True, True))
+            moves.append(ADVANCE_A | ADVANCE_B)
             i -= 1
             j -= 1
     moves.reverse()
-    return moves
+    return np.array(moves, dtype=np.uint8)
+
+
+def _dp_moves(scores: np.ndarray, up_costs: np.ndarray, left_costs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The final H row and the moves of one optimal path."""
+    n, m = scores.shape
+    h, k_rows, du_rows = _dp_fill(scores, up_costs, left_costs, want_path=True)
+    return h, _traceback(k_rows, du_rows, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +251,17 @@ def global_align(a, b, cfg: ScoringConfig = DEFAULT_SCORING) -> Alignment:
     """Optimal global alignment of two byte sequences.
 
     Runs in O(|a|*|b|); empty inputs are allowed and align against gaps.
+    The result holds the traceback's moves; its padded rows are built only
+    when read.
     """
     sa = as_symbols(a)
     sb = as_symbols(b)
     n, m = len(sa), len(sb)
     scores = np.where(sa[:, None] == sb[None, :],
                       cfg.match_score, cfg.mismatch_penalty)
-    up = np.full(n, cfg.gap_penalty)
-    left = np.full(m, cfg.gap_penalty)
-    h, k_rows, du_rows = _dp_fill(scores, up, left, want_path=True)
-    moves = _trace_moves(k_rows, du_rows, n, m)
-
-    out_a: list[int] = []
-    out_b: list[int] = []
-    i = j = 0
-    for adv_a, adv_b in moves:
-        out_a.append(int(sa[i]) if adv_a else GAP)
-        out_b.append(int(sb[j]) if adv_b else GAP)
-        i += adv_a
-        j += adv_b
-    return Alignment(tuple(out_a), tuple(out_b), float(h[m]))
+    gaps = np.full(max(n, m), cfg.gap_penalty)
+    h, moves = _dp_moves(scores, gaps[:n], gaps[:m])
+    return Alignment(moves, sa, sb, float(h[m]))
 
 
 def distance(a, b, cfg: ScoringConfig = DEFAULT_SCORING) -> float:
@@ -381,12 +433,11 @@ class PrototypeScorer:
         if lib is None:
             return self._scores_numpy(request, start)
         r = as_symbols(request)
-        out = np.empty(count - start)
-        scratch = np.empty(width + 1)
+        out = np.empty(count - start + width + 1)  # the scores, then one DP row
         tables = (arg + start * row for arg, row in zip(self._native_args, self._row_bytes))
-        lib.prototype_scores(r.ctypes.data, len(r), *tables, count - start, width,
-                             scratch.ctypes.data, out.ctypes.data)
-        return out
+        lib.prototype_scores(native.pointer(r), len(r), *tables, count - start,
+                             width, native.pointer(out))
+        return out[:count - start]
 
     def _scores_numpy(self, request, start: int = 0) -> np.ndarray:
         """Reference implementation of scores(), and its fallback."""

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import DEFAULT_SCORING, PrototypeScorer, ScoringConfig
+from .alignment import (DEFAULT_SCORING, PrototypeScorer, ScoringConfig,
+                        as_symbols)
 from .errors import EmptyInputError, FramingProtocolError
 from .fields import (SymmetricField, find_symmetric_fields, project_field,
                      substitute_response)
@@ -49,11 +50,19 @@ class MatchOutcome:
 
 
 class RequestMatcher:
-    """Reusable matcher holding the model's precomputed scoring arrays."""
+    """Reusable matcher holding the model's precomputed scoring arrays.
+
+    Each node's centroid request is turned into symbols here, once, for
+    the alignment that generation runs per request.
+    """
 
     def __init__(self, model: OpaqueServiceModel):
         self.model = model
         self.nodes = sorted(model.nodes, key=lambda n: n.cluster_id)
+        self._ids = [n.cluster_id for n in self.nodes]
+        self._by_id = {n.cluster_id: n for n in self.nodes}
+        self._centroid_symbols = {n.cluster_id: as_symbols(n.centroid.request)
+                                  for n in self.nodes}
         self._scorer = PrototypeScorer(
             [n.prototype.symbols for n in self.nodes],
             [n.weights for n in self.nodes],
@@ -63,20 +72,17 @@ class RequestMatcher:
         if not request:
             raise EmptyInputError("cannot match an empty request")
         rel = self._scorer.relative_distances(request)
-        chosen = self.nodes[int(np.argmin(rel))].cluster_id
-        pairs = tuple((n.cluster_id, float(d)) for n, d in zip(self.nodes, rel))
-        return MatchOutcome(pairs, chosen)
+        chosen = self._ids[int(np.argmin(rel))]
+        return MatchOutcome(tuple(zip(self._ids, rel.tolist())), chosen)
 
     def node_for(self, cluster_id: int) -> MatchingNode:
-        for node in self.nodes:
-            if node.cluster_id == cluster_id:
-                return node
-        raise KeyError(cluster_id)
+        return self._by_id[cluster_id]
 
     def respond(self, request: bytes) -> tuple[bytes, MatchOutcome]:
         outcome = self.match(request)
         node = self.node_for(outcome.chosen)
-        return generate_response(node, request, self.model.scoring), outcome
+        return generate_response(node, request, self.model.scoring,
+                                 self._centroid_symbols[outcome.chosen]), outcome
 
 
 def match_request(model: OpaqueServiceModel, request: bytes) -> MatchOutcome:
@@ -85,10 +91,16 @@ def match_request(model: OpaqueServiceModel, request: bytes) -> MatchOutcome:
 
 
 def generate_response(node: MatchingNode, live_request: bytes,
-                      cfg: ScoringConfig = DEFAULT_SCORING) -> bytes:
-    """Centroid response with symmetric fields projected from the live request."""
-    return substitute_response(live_request, node.centroid.request,
-                               node.centroid.response, node.fields, cfg)
+                      cfg: ScoringConfig = DEFAULT_SCORING,
+                      centroid_symbols: np.ndarray | None = None) -> bytes:
+    """Centroid response with symmetric fields projected from the live request.
+
+    ``centroid_symbols`` may hold ``as_symbols(node.centroid.request)``,
+    made once by the caller.
+    """
+    recorded = node.centroid.request if centroid_symbols is None else centroid_symbols
+    return substitute_response(live_request, recorded, node.centroid.response,
+                               node.fields, cfg)
 
 
 class EmulatorServer:
@@ -172,12 +184,14 @@ class EmulatorServer:
         started = time.perf_counter()
         response, outcome = self._matcher.respond(request)
         writer.write(encode(self.framing, response))
+        if not logger.isEnabledFor(logging.INFO):
+            return
         elapsed_us = int((time.perf_counter() - started) * 1e6)
+        distance = next(d for cid, d in outcome.distances if cid == outcome.chosen)
         logger.info(
             "exchange peer=%s cluster=%d distance=%.4f latency_us=%d "
             "request_bytes=%d response_bytes=%d",
-            peer, outcome.chosen, dict(outcome.distances)[outcome.chosen],
-            elapsed_us, len(request), len(response))
+            peer, outcome.chosen, distance, elapsed_us, len(request), len(response))
 
     async def _shutdown(self):
         self._closing = True

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import DEFAULT_SCORING, GAP, ScoringConfig, global_align
+from .alignment import (ADVANCE_B, DEFAULT_SCORING, Alignment, ScoringConfig,
+                        global_align)
 
 DEFAULT_MIN_FIELD_LENGTH = 4
 
@@ -34,26 +35,28 @@ def find_symmetric_fields(request: bytes, response: bytes,
     then leftmost request offset) and accepted greedily when their response
     range does not overlap an earlier pick.  Result is sorted by response
     offset.  Deterministic.
-    """
-    req = np.frombuffer(request, dtype=np.uint8)
-    rsp = np.frombuffer(response, dtype=np.uint8)
-    n, m = len(req), len(rsp)
-    if n == 0 or m == 0:
-        return ()
-    eq = req[:, None] == rsp[None, :]
-    runs = np.zeros((n, m), dtype=np.int32)
-    runs[0] = eq[0]
-    for i in range(1, n):
-        runs[i, 0] = eq[i, 0]
-        runs[i, 1:] = (runs[i - 1, :-1] + 1) * eq[i, 1:]
 
+    Runs are counted one request byte at a time from the previous byte's
+    row, kept only where the bytes are equal, so memory is O(|response| +
+    candidates) and time O(n + m + equal byte pairs).
+    """
+    if min_length < 1:
+        raise ValueError("min_length must be at least 1")
+    n, m = len(request), len(response)
+    at: dict[int, list[int]] = {}  # response offsets of each byte value
+    for j, byte in enumerate(response):
+        at.setdefault(byte, []).append(j)
     candidates = []
-    ends = np.argwhere(runs >= min_length)
-    for i, j in ends:
-        if i + 1 < n and j + 1 < m and eq[i + 1, j + 1]:
-            continue  # not maximal, extends further down the diagonal
-        length = int(runs[i, j])
-        candidates.append((-length, int(j) - length + 1, int(i) - length + 1, length))
+    run: dict[int, int] = {}  # j -> length of the common run ending at (i, j)
+    for i, byte in enumerate(request):
+        run = {j: run.get(j - 1, 0) + 1 for j in at.get(byte, ())}
+        following = request[i + 1] if i + 1 < n else None
+        for j, length in run.items():
+            if length < min_length:
+                continue
+            if j + 1 < m and response[j + 1] == following:
+                continue  # not maximal, extends further down the diagonal
+            candidates.append((-length, j - length + 1, i - length + 1, length))
 
     chosen: list[SymmetricField] = []
     taken: list[tuple[int, int]] = []
@@ -66,47 +69,48 @@ def find_symmetric_fields(request: bytes, response: bytes,
     return tuple(chosen)
 
 
-def project_field(alignment, field: SymmetricField) -> bytes:
+def project_field(alignment: Alignment, field: SymmetricField) -> bytes:
     """Live-request bytes covering a field of the aligned recorded request.
 
     ``alignment`` must be global_align(live_request, recorded_request).
     The projection spans from the column holding the field's first recorded
     byte to the column holding its last one, widened over the live-only
-    columns (recorded GAP) that directly border it, so a live value longer
-    than the recorded one is taken whole.  Gap positions are dropped.
+    columns that directly border it, so a live value longer than the
+    recorded one is taken whole.  A field outside the recorded request
+    projects to nothing.
+
+    The widened span runs from just after the previous recorded byte's
+    column to just before the next one's, so it is read from the moves as
+    positions and cut from the live request as one slice; the gap-padded
+    rows are never built.
     """
-    live, recorded = alignment.aligned_a, alignment.aligned_b
+    moves = alignment.moves
+    recorded = (moves & ADVANCE_B).nonzero()[0]  # the column of each recorded byte
     first = field.request_offset
-    last = field.request_offset + field.request_length - 1
-    span_start = span_end = None
-    pos = 0
-    for col, sym in enumerate(recorded):
-        if sym == GAP:
-            continue
-        if pos == first:
-            span_start = col
-        if pos == last:
-            span_end = col
-            break
-        pos += 1
-    if span_start is None or span_end is None:
+    stop = first + field.request_length
+    if first < 0 or stop <= first or stop > len(recorded):
         return b""
-    while span_start > 0 and recorded[span_start - 1] == GAP:
-        span_start -= 1
-    while span_end + 1 < len(recorded) and recorded[span_end + 1] == GAP:
-        span_end += 1
-    return bytes(s for s in live[span_start:span_end + 1] if s != GAP)
+    start_col = int(recorded[first - 1]) + 1 if first else 0
+    stop_col = int(recorded[stop]) if stop < len(recorded) else len(moves)
+    # Each column holds a live byte unless it advances the recorded side only.
+    codes = moves.tobytes()
+    live_start = start_col - codes.count(ADVANCE_B, 0, start_col)
+    live_stop = stop_col - codes.count(ADVANCE_B, 0, stop_col)
+    return alignment.a[live_start:live_stop].astype(np.uint8).tobytes()
 
 
-def substitute_response(live_request: bytes, recorded_request: bytes,
+def substitute_response(live_request: bytes, recorded_request: bytes | np.ndarray,
                         recorded_response: bytes,
                         fields: tuple[SymmetricField, ...],
                         cfg: ScoringConfig = DEFAULT_SCORING) -> bytes:
     """Splice live-request projections into the recorded response.
 
-    Bytes outside field ranges are preserved; a field whose projection is
-    empty keeps its recorded bytes so the response stays parseable.
-    Variable-length projections shift the remaining response bytes.
+    Aligns the live request with the recorded one (bytes, or the same as
+    symbols from ``as_symbols``) once, then projects each field from that
+    alignment's moves.  Bytes outside field ranges are preserved; a field
+    whose projection is empty keeps its recorded bytes so the response
+    stays parseable.  Variable-length projections shift the remaining
+    response bytes.
     """
     if not fields:
         return recorded_response

@@ -12,8 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import (DEFAULT_SCORING, GAP, ScoringConfig, _dp_fill,
-                        _trace_moves, as_symbols, pairwise_distances)
+from .alignment import (ADVANCE_A, ADVANCE_B, DEFAULT_SCORING, GAP,
+                        ScoringConfig, _dp_moves, as_symbols,
+                        pairwise_distances)
 from .linkage import average_linkage_merges
 
 _BINS = 257  # 256 byte values + GAP
@@ -109,15 +110,10 @@ def _merge_matrices(mat_p: np.ndarray, mat_q: np.ndarray,
     up = g * filled_p / rows_p      # consume a p column against an all-gap q column
     left = g * filled_q / rows_q    # and vice versa
 
-    _, k_rows, du_rows = _dp_fill(scores, up, left, want_path=True)
-    moves = _trace_moves(k_rows, du_rows, width_p, width_q)
-
-    width_out = len(moves)
-    merged = np.full((rows_p + rows_q, width_out), GAP, dtype=np.int16)
-    cols_p = [idx for idx, (adv_p, _) in enumerate(moves) if adv_p]
-    cols_q = [idx for idx, (_, adv_q) in enumerate(moves) if adv_q]
-    merged[:rows_p, cols_p] = mat_p
-    merged[rows_p:, cols_q] = mat_q
+    _, moves = _dp_moves(scores, up, left)
+    merged = np.full((rows_p + rows_q, len(moves)), GAP, dtype=np.int16)
+    merged[:rows_p, np.flatnonzero(moves & ADVANCE_A)] = mat_p
+    merged[rows_p:, np.flatnonzero(moves & ADVANCE_B)] = mat_q
     return merged
 
 

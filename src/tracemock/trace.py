@@ -58,16 +58,17 @@ class TransactionLibrary:
         return [t.response for t in self.transactions]
 
 
+# Printable ASCII stands for itself, a backslash is doubled, and every
+# other byte value is written as \xHH.
+_ESCAPES = {b: f"\\x{b:02x}" for b in range(256) if not 0x20 <= b <= 0x7E}
+_ESCAPES[0x5C] = "\\\\"
+
+
 def encode_field(data: bytes) -> str:
-    out = []
-    for b in data:
-        if b == 0x5C:
-            out.append("\\\\")
-        elif 0x20 <= b <= 0x7E:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    text = data.decode("latin-1")  # one character per byte value
+    if text.isascii() and text.isprintable():
+        return text.replace("\\", "\\\\")
+    return text.translate(_ESCAPES)
 
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here enumerates alignments explicitly and never touches the
-package's DP code paths, so agreement is meaningful evidence.
+Everything here enumerates alignments explicitly, or keeps an earlier,
+plainer form of a fast path, and never touches the package's DP code
+paths, so agreement is meaningful evidence.
 """
 
 import itertools
 
+import numpy as np
+
 from tracemock.alignment import GAP, WILDCARD, ScoringConfig
+from tracemock.fields import SymmetricField
 
 
 def enumerate_alignments(la: int, lb: int):
@@ -184,3 +188,85 @@ def all_sequences(alphabet, max_len: int):
     """Every tuple over ``alphabet`` with length 0..max_len."""
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+def matrix_symmetric_fields(request: bytes, response: bytes, min_length: int
+                            ) -> tuple[SymmetricField, ...]:
+    """find_symmetric_fields over the full n x m run-length matrix.
+
+    Run lengths of common substrings end at each (i, j); a run is maximal
+    when the next cell down its diagonal differs.  Candidates are taken
+    longest first, then by response and request offset, keeping response
+    ranges disjoint.
+    """
+    req = np.frombuffer(request, dtype=np.uint8)
+    rsp = np.frombuffer(response, dtype=np.uint8)
+    n, m = len(req), len(rsp)
+    if n == 0 or m == 0:
+        return ()
+    eq = req[:, None] == rsp[None, :]
+    runs = np.zeros((n, m), dtype=np.int32)
+    runs[0] = eq[0]
+    for i in range(1, n):
+        runs[i, 0] = eq[i, 0]
+        runs[i, 1:] = (runs[i - 1, :-1] + 1) * eq[i, 1:]
+
+    candidates = []
+    for i, j in np.argwhere(runs >= min_length):
+        if i + 1 < n and j + 1 < m and eq[i + 1, j + 1]:
+            continue
+        length = int(runs[i, j])
+        candidates.append((-length, int(j) - length + 1, int(i) - length + 1, length))
+
+    chosen: list[SymmetricField] = []
+    taken: list[tuple[int, int]] = []
+    for neg_len, rsp_off, req_off, length in sorted(candidates):
+        if any(rsp_off < end and start < rsp_off + length for start, end in taken):
+            continue
+        taken.append((rsp_off, rsp_off + length))
+        chosen.append(SymmetricField(req_off, length, rsp_off, length))
+    chosen.sort(key=lambda f: f.response_offset)
+    return tuple(chosen)
+
+
+def walk_project_field(live, recorded, field: SymmetricField) -> bytes:
+    """project_field by walking the gap-padded aligned rows.
+
+    ``live`` and ``recorded`` are aligned_a and aligned_b of
+    global_align(live_request, recorded_request).  The span runs from the
+    column of the field's first recorded byte to that of its last one,
+    widened over directly bordering columns where recorded is GAP.
+    """
+    first = field.request_offset
+    last = field.request_offset + field.request_length - 1
+    span_start = span_end = None
+    pos = 0
+    for col, sym in enumerate(recorded):
+        if sym == GAP:
+            continue
+        if pos == first:
+            span_start = col
+        if pos == last:
+            span_end = col
+            break
+        pos += 1
+    if span_start is None or span_end is None:
+        return b""
+    while span_start > 0 and recorded[span_start - 1] == GAP:
+        span_start -= 1
+    while span_end + 1 < len(recorded) and recorded[span_end + 1] == GAP:
+        span_end += 1
+    return bytes(s for s in live[span_start:span_end + 1] if s != GAP)
+
+
+def loop_encode_field(data: bytes) -> str:
+    """encode_field one byte at a time."""
+    out = []
+    for b in data:
+        if b == 0x5C:
+            out.append("\\\\")
+        elif 0x20 <= b <= 0x7E:
+            out.append(chr(b))
+        else:
+            out.append(f"\\x{b:02x}")
+    return "".join(out)

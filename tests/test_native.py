@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_score, brute_force_weighted_score
 from tracemock import native
-from tracemock.alignment import (WILDCARD, PrototypeScorer, ScoringConfig,
-                                 _dp_fill, _dp_fill_numpy, distance,
-                                 global_align, pairwise_distances)
+from tracemock.alignment import (GAP, WILDCARD, PrototypeScorer, ScoringConfig,
+                                 _dp_fill, _dp_fill_numpy, _trace_moves,
+                                 _traceback, distance, global_align,
+                                 pairwise_distances)
 from tracemock.emulator import RequestMatcher
 from tracemock.harness import (default_protocol_spec, paper_example_library,
                                synthetic_library)
 from tracemock.model import build_model
+from tracemock.msa import _merge_matrices
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -78,11 +80,13 @@ def test_prototype_scores_equal_numpy(protos, cfg, reqs):
 def test_global_align_equals_numpy(a, b, cfg):
     got = global_align(a, b, cfg)
     with numpy_path():
-        assert global_align(a, b, cfg) == got
+        want = global_align(a, b, cfg)
+    assert want == got
+    assert np.array_equal(want.moves, got.moves)
 
 
-@given(st.integers(0, 9), st.integers(0, 9), st.data())
-def test_dp_fill_equals_numpy(n, m, data):
+def tie_heavy_table(n, m, data):
+    """A random score table and gap costs with many exactly tied cells."""
     # Small integer multiples of an irrational-ish step give many exact ties.
     step = data.draw(st.sampled_from([1.0, 0.5, 0.3, 1 / 3]))
     cells = st.integers(-3, 3).map(lambda k: k * step)
@@ -90,11 +94,41 @@ def test_dp_fill_equals_numpy(n, m, data):
                       dtype=float).reshape(n, m)
     up = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
     left = np.array(data.draw(st.lists(cells, min_size=m, max_size=m)), dtype=float)
+    return scores, up, left
+
+
+@given(st.integers(0, 9), st.integers(0, 9), st.data())
+def test_dp_fill_equals_numpy(n, m, data):
+    scores, up, left = tie_heavy_table(n, m, data)
     for want_path in (True, False):
         got = _dp_fill(scores, up, left, want_path)
         want = _dp_fill_numpy(scores, up, left, want_path)
         for g, w in zip(got, want):
             assert (g is None and w is None) or np.array_equal(g, w)
+
+
+@given(st.integers(0, 9), st.integers(0, 9), st.data())
+def test_dp_trace_equals_python_walk(n, m, data):
+    _, k_rows, du_rows = _dp_fill_numpy(*tie_heavy_table(n, m, data), want_path=True)
+    got = _traceback(k_rows, du_rows, n, m)
+    want = _trace_moves(k_rows, du_rows, n, m)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert int(np.count_nonzero(got & 1)) == n and int(np.count_nonzero(got & 2)) == m
+
+
+profile_rows = st.integers(0, 6).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([*b"abc", GAP]), min_size=width, max_size=width),
+    min_size=1, max_size=3))
+
+
+@given(profile_rows, profile_rows, configs)
+def test_merge_matrices_equal_numpy(rows_p, rows_q, cfg):
+    mat_p = np.array(rows_p, dtype=np.int16).reshape(len(rows_p), -1)
+    mat_q = np.array(rows_q, dtype=np.int16).reshape(len(rows_q), -1)
+    got = _merge_matrices(mat_p, mat_q, cfg)
+    with numpy_path():
+        assert np.array_equal(_merge_matrices(mat_p, mat_q, cfg), got)
 
 
 @given(prototype_sets(max_len=4), configs,

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import loop_encode_field
 from tracemock.errors import (DuplicateIndexError, EmptyRequestOrResponseError,
                               TraceFormatError)
 from tracemock.harness import PAPER_EXAMPLE_ROWS, paper_example_library
@@ -118,6 +119,11 @@ class TestFieldArmor:
         encoded = encode_field(data)
         assert "\t" not in encoded and "\n" not in encoded
         assert decode_field(encoded, 1) == data
+
+    @given(st.one_of(st.binary(max_size=60),
+                     st.lists(st.sampled_from(b"ab\\ ~\x7f\x1f"), max_size=60).map(bytes)))
+    def test_encode_equals_byte_loop(self, data):
+        assert encode_field(data) == loop_encode_field(data)
 
     def test_printables_stay_readable(self):
         assert encode_field(b"{id:1,op:S}") == "{id:1,op:S}"
