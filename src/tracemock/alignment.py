@@ -26,9 +26,21 @@ ADVANCE_B, or both bits.  Callers read positions from it directly (the MSA
 merge places rows with it, field projection slices the live request with
 it); ``Alignment`` builds the gap-padded rows only when they are read.
 
+The scoring kernel is inter-sequence SIMD (Rognes, BMC Bioinformatics
+12:221, 2011): it scores ``LANES`` (8) sequences at once, one per float64
+lane of a 512-bit vector.  ``PrototypeScorer`` groups the sequences in
+blocks of 8 in their given order and stores each table once, lane-fastest
+(block, column, lane).  ``_dp.c`` runs its AVX-512 body when the CPU has
+AVX-512F, chosen at run time, and otherwise the same lane loop in plain C.
+Each lane performs the scalar recurrence's float operations in the same
+order, every select is a bitwise blend on a compare mask (or ``vmaxpd``
+with its operands ordered to give ``a >= b ? a : b``), and the build
+contracts nothing into fused multiply-adds, so both bodies equal the numpy
+reference bit for bit.
+
 Both kernels run natively (``native.py``) when they could be built.  The
-numpy fill and the Python walk ``_trace_moves`` stay as their bit-identical
-reference and fallback.
+numpy fill, ``PrototypeScorer._scores_numpy`` and the Python walk
+``_trace_moves`` stay as their bit-identical reference and fallback.
 """
 
 import functools
@@ -306,6 +318,23 @@ def pairwise_distances(seqs: Sequence[bytes], cfg: ScoringConfig = DEFAULT_SCORI
 # Scoring kernel: one request against many prototypes
 
 
+LANES = 8  # sequences per kernel block, one per float64 lane of a 512-bit vector
+
+
+def _interleave(table: np.ndarray) -> np.ndarray:
+    """A (rows, columns) table as (blocks, columns, LANES), lane-fastest.
+
+    Row r lands in lane r % LANES of block r // LANES; the lanes after the
+    last row are zeros, finite for the kernel to run over.
+    """
+    rows, columns = table.shape
+    out = np.zeros((-(-rows // LANES), columns, LANES), table.dtype)
+    for lane in range(LANES):
+        lane_rows = table[lane::LANES]
+        out[:len(lane_rows), :, lane] = lane_rows
+    return out
+
+
 def _pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack int16 symbol arrays into a -1 padded matrix plus lengths."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
@@ -369,7 +398,8 @@ class PrototypeScorer:
             np.hstack([wild, edge]), np.hstack([wild_x, no_weight]),
             np.where(np.hstack([edge, wild]), np.hstack([no_weight, wild_x]),
                      (mean_w * cfg.gap_penalty)[:, None]))
-        self._set_tables(cfg, padded, match, nomatch, left_cum, insert, lengths)
+        self._set_tables(cfg, lengths, *map(_interleave, (padded, match, nomatch,
+                                                          left_cum, insert)))
 
     @classmethod
     def plain(cls, sequences: Sequence, cfg: ScoringConfig = DEFAULT_SCORING
@@ -381,25 +411,37 @@ class PrototypeScorer:
         round differently for a non-integer penalty.
         """
         padded, lengths = _pad_sequences([as_symbols(s) for s in sequences])
-        count, width = padded.shape
+        blocks = -(-len(lengths) // LANES)
+        width = padded.shape[1]
         g = cfg.gap_penalty
+
+        def lanes(column):  # the same column of values in every lane
+            return np.tile(column[:, None], (blocks, 1, LANES))
+
         scorer = cls.__new__(cls)
         scorer._set_tables(
-            cfg, padded, np.full((count, width), cfg.match_score),
-            np.full((count, width), cfg.mismatch_penalty),
-            np.tile(g * np.arange(width + 1), (count, 1)),
-            np.full((count, width + 1), g), lengths)
+            cfg, lengths, _interleave(padded), lanes(np.full(width, cfg.match_score)),
+            lanes(np.full(width, cfg.mismatch_penalty)), lanes(g * np.arange(width + 1)),
+            lanes(np.full(width + 1, g)))
         return scorer
 
-    def _set_tables(self, cfg, *tables):
-        """Keep the tables contiguous and referenced, in the kernel's argument order."""
+    def _set_tables(self, cfg, lengths, *tables):
+        """Keep the lane-fastest tables in the kernel's argument order, and their pointers."""
         self.cfg = cfg
+        self._lengths = lengths
+        self._count = len(lengths)
+        self._width = tables[0].shape[1]
         self._tables = tuple(np.ascontiguousarray(a, dtype) for a, dtype in zip(
-            tables, (np.int16, np.float64, np.float64, np.float64, np.float64, np.int64)))
-        (self._padded, self._match, self._nomatch, self._left_cum,
-         self._insert_costs, self._lengths) = self._tables
+            (*tables, _interleave(lengths[:, None])),
+            (np.int16, np.float64, np.float64, np.float64, np.float64, np.int64)))
         self._native_args = tuple(a.ctypes.data for a in self._tables)
-        self._row_bytes = tuple(a.strides[0] for a in self._tables)
+        self._block_bytes = tuple(a.strides[0] for a in self._tables)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """padded, match, nomatch, left_cum and insert row-major, one row per sequence."""
+        return tuple(t.transpose(0, 2, 1).reshape(-1, t.shape[1])[:self._count]
+                     for t in self._tables[:5])
 
     @functools.cached_property
     def max_scores(self) -> np.ndarray:
@@ -409,42 +451,48 @@ class PrototypeScorer:
         a request that can take this path, such as an exact match, scores at
         least this much and sits at relative distance 0.
         """
-        best = np.where(self._padded == WILDCARD, self._nomatch, self._match)
-        v = np.zeros(len(self._lengths))
-        for j in range(best.shape[1]):
-            lc = self._left_cum[:, j + 1]
+        padded, match, nomatch, left_cum, _ = self._rows
+        best = np.where(padded == WILDCARD, nomatch, match)
+        v = np.zeros(self._count)
+        for j in range(self._width):
+            lc = left_cum[:, j + 1]
             v = np.where(j < self._lengths, ((v + best[:, j]) - lc) + lc, v)
         return v
 
     @functools.cached_property
     def min_scores(self) -> np.ndarray:
         """Worst gap-free score per prototype: every literal mismatched."""
-        wild = self._padded == WILDCARD
-        literal = ~wild & (self._padded >= 0)
-        return np.where(literal, self._nomatch, 0.0).sum(axis=1) + \
-            np.where(wild, self._nomatch, 0.0).sum(axis=1)
+        padded, _, nomatch, _, _ = self._rows
+        wild = padded == WILDCARD
+        literal = ~wild & (padded >= 0)
+        return np.where(literal, nomatch, 0.0).sum(axis=1) + \
+            np.where(wild, nomatch, 0.0).sum(axis=1)
 
     def scores(self, request, start: int = 0) -> np.ndarray:
         """Maximum alignment score of the request per prototype, from ``start`` on."""
-        count, width = self._padded.shape
-        if not 0 <= start <= count:
-            raise IndexError(f"start {start} outside 0..{count}")
+        if not 0 <= start <= self._count:
+            raise IndexError(f"start {start} outside 0..{self._count}")
         lib = native.kernels()
         if lib is None:
             return self._scores_numpy(request, start)
+        return self._scores_native(lib.prototype_scores, request, start)
+
+    def _scores_native(self, kernel, request, start: int) -> np.ndarray:
+        """scores() through ``kernel``, from the block that holds ``start`` on."""
         r = as_symbols(request)
-        out = np.empty(count - start + width + 1)  # the scores, then one DP row
-        tables = (arg + start * row for arg, row in zip(self._native_args, self._row_bytes))
-        lib.prototype_scores(native.pointer(r), len(r), *tables, count - start,
-                             width, native.pointer(out))
-        return out[:count - start]
+        block, skip = divmod(start, LANES)
+        blocks = len(self._tables[0]) - block
+        # The scores, then one DP row from the next 64-byte boundary on.
+        out = np.empty((blocks + self._width + 2) * LANES)
+        args = self._native_args if block == 0 else tuple(
+            base + block * size for base, size in zip(self._native_args, self._block_bytes))
+        kernel(native.pointer(r), len(r), *args, blocks, self._width, native.pointer(out))
+        return out[skip:skip + self._count - start]
 
     def _scores_numpy(self, request, start: int = 0) -> np.ndarray:
         """Reference implementation of scores(), and its fallback."""
         r = as_symbols(request)
-        padded, match, nomatch = (self._padded[start:], self._match[start:],
-                                  self._nomatch[start:])
-        left_cum, ins = self._left_cum[start:], self._insert_costs[start:]
+        padded, match, nomatch, left_cum, ins = (t[start:] for t in self._rows)
         count, width = padded.shape
         h = left_cum.copy()
         t = np.empty((count, width + 1))
@@ -459,13 +507,20 @@ class PrototypeScorer:
 
     def relative_distances(self, request) -> np.ndarray:
         """d_rel per prototype, each clamped to [0, 1]; degenerate -> 1.0."""
-        s = self.scores(request)
+        low, span = self._score_range
+        out = 1.0 - (self.scores(request) - low) / span
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    @functools.cached_property
+    def _score_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """min_scores, and the span up to max_scores with +inf where it is not positive.
+
+        A finite score over an infinite span is +-0.0, so a degenerate
+        prototype gets exactly 1.0, and a positive span runs the float
+        operations of the masked form unchanged.
+        """
         span = self.max_scores - self.min_scores
-        out = np.ones(len(s))
-        ok = span > 0
-        out[ok] = 1.0 - (s[ok] - self.min_scores[ok]) / span[ok]
-        np.clip(out, 0.0, 1.0, out=out)
-        return out
+        return self.min_scores, np.where(span > 0, span, np.inf)
 
 
 def relative_distance(prototype: Sequence[int], weights: Sequence[float], request,

@@ -5,8 +5,7 @@ from .crossval import (AccuracyReport, FoldResult, HashResponderFactory,
                        PrototypeResponderFactory, WholeLibraryResponderFactory,
                        cross_validate, partition_positions)
 from .responders import (HashLookupResponder, PrototypeResponder,
-                         WholeLibraryResponder, hash_lookup_responder,
-                         whole_library_responder)
+                         WholeLibraryResponder)
 from .synthetic import (PAPER_ADD_INDICES, PAPER_EXAMPLE_ROWS,
                         PAPER_SEARCH_INDICES, OperationTemplate,
                         SyntheticProtocolSpec, confusion_protocol_spec,

@@ -82,14 +82,3 @@ class PrototypeResponder:
         response, _ = self._matcher.respond(request)
         return response
 
-
-def hash_lookup_responder(library: TransactionLibrary,
-                          request: bytes) -> bytes | None:
-    """One-shot hash lookup (builds the table per call; use the class in loops)."""
-    return HashLookupResponder(library).answer(request)
-
-
-def whole_library_responder(library: TransactionLibrary, request: bytes,
-                            cfg: ScoringConfig = DEFAULT_SCORING) -> bytes:
-    """One-shot whole-library response (use the class in loops)."""
-    return WholeLibraryResponder(library, cfg).answer(request)

@@ -11,9 +11,8 @@ from tracemock.harness import (HashLookupResponder, HashResponderFactory,
                                WholeLibraryResponderFactory, benchmark,
                                confusion_protocol_spec, cross_validate,
                                default_protocol_spec, directory_validator,
-                               hash_lookup_responder, paper_example_library,
-                               parse_directory_message, synthetic_library,
-                               whole_library_responder)
+                               paper_example_library, parse_directory_message,
+                               synthetic_library)
 from tracemock.harness.crossval import partition_positions
 from tracemock.model import build_model
 from tracemock.trace import Transaction, TransactionLibrary
@@ -54,11 +53,12 @@ class TestHashResponder:
     def test_exact_hit_replays_without_transformation(self):
         lib = paper_example_library()
         request = b"{id:24,op:A,sn:Schneider,mobile:123456}"
-        assert hash_lookup_responder(lib, request) == b"{id:24,op:AddRsp,result:Ok}"
+        assert HashLookupResponder(lib).answer(request) == b"{id:24,op:AddRsp,result:Ok}"
 
     def test_single_byte_difference_misses(self):
         lib = paper_example_library()
-        assert hash_lookup_responder(lib, b"{id:25,op:A,sn:Schneider,mobile:123456}") is None
+        miss = b"{id:25,op:A,sn:Schneider,mobile:123456}"
+        assert HashLookupResponder(lib).answer(miss) is None
 
     def test_first_recording_wins_on_duplicates(self):
         lib = TransactionLibrary((Transaction(0, b"q", b"first"),
@@ -77,12 +77,12 @@ class TestHashResponder:
 class TestWholeLibraryResponder:
     def test_known_request_returns_its_response(self):
         lib = paper_example_library()
-        out = whole_library_responder(lib, b"{id:1,op:S,sn:Du}")
+        out = WholeLibraryResponder(lib).answer(b"{id:1,op:S,sn:Du}")
         assert out == b"{id:1,op:SearchRsp,result:Ok,gn:Miao,sn:Du,mobile:5362634}"
 
     def test_transforms_nearest_response(self):
         lib = paper_example_library()
-        out = whole_library_responder(lib, b"{id:2488,op:A,sn:Wilt}")
+        out = WholeLibraryResponder(lib).answer(b"{id:2488,op:A,sn:Wilt}")
         # nearest is transaction 2487; symmetric field carries the new id
         assert out.startswith(b"{id:2488,op:AddRsp")
 
@@ -98,7 +98,7 @@ class TestWholeLibraryResponder:
                         b"{id:98765,op:SearchRsp,result:Ok,gn:B,sn:Moreau,mobile:7654321}"),
         ))
         live = b"{id:43,op:S,sn:Keller}"
-        out = whole_library_responder(lib, live)
+        out = WholeLibraryResponder(lib).answer(live)
         verdict = directory_validator(
             b"{id:43,op:SearchRsp,result:Ok,gn:C,sn:Keller,mobile:1111111}", out)
         assert not verdict.is_valid and verdict.reason == "wrong-operation"

@@ -5,20 +5,22 @@ The native path must be bit-identical to numpy: scores are compared with
 """
 
 import logging
+import shutil
+import subprocess
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import brute_force_score, brute_force_weighted_score
 from tracemock import native
-from tracemock.alignment import (GAP, WILDCARD, PrototypeScorer, ScoringConfig,
-                                 _dp_fill, _dp_fill_numpy, _trace_moves,
-                                 _traceback, distance, global_align,
-                                 pairwise_distances)
+from tracemock.alignment import (GAP, LANES, WILDCARD, PrototypeScorer,
+                                 ScoringConfig, _dp_fill, _dp_fill_numpy,
+                                 _trace_moves, _traceback, distance,
+                                 global_align, pairwise_distances)
 from tracemock.emulator import RequestMatcher
 from tracemock.harness import (default_protocol_spec, paper_example_library,
                                synthetic_library)
@@ -59,21 +61,76 @@ requests = st.lists(st.sampled_from(b"abcdz"), max_size=14).map(bytes)
 
 @st.composite
 def prototype_sets(draw, max_len=12):
-    count = draw(st.integers(1, 4))
+    """1 to 20 prototypes of uneven lengths: whole, partial and uneven kernel blocks."""
+    count = draw(st.integers(1, 20))
     protos = [draw(st.lists(symbols, min_size=1, max_size=max_len))
               for _ in range(count)]
     return protos, [draw(st.lists(weights, min_size=len(p), max_size=len(p)))
                     for p in protos]
 
 
+def portable_kernel(lib):
+    """The kernel's plain C body, which runs where the AVX-512 one cannot."""
+    fn = lib.prototype_scores_portable
+    fn.argtypes, fn.restype = native._SIGNATURES["prototype_scores"]
+    return fn
+
+
+def block_starts(count):
+    """Starts around the first block boundary, and the end."""
+    return sorted({s for s in (0, LANES - 1, LANES, LANES + 1, count) if s <= count})
+
+
 @given(prototype_sets(), configs, st.lists(requests, min_size=1, max_size=4))
-def test_prototype_scores_equal_numpy(protos, cfg, reqs):
+def test_prototype_scores_equal_numpy(kernels, protos, cfg, reqs):
+    plain_seqs = [[ord("w") if s == WILDCARD else s for s in p] for p in protos[0]]
+    portable = portable_kernel(kernels)
+    for scorer in (PrototypeScorer(*protos, cfg), PrototypeScorer.plain(plain_seqs, cfg)):
+        for req in reqs:
+            for start in block_starts(len(plain_seqs)):
+                want = scorer._scores_numpy(req, start)
+                assert len(want) == len(plain_seqs) - start
+                assert np.array_equal(scorer.scores(req, start), want), (req, start)
+                assert np.array_equal(scorer._scores_native(portable, req, start),
+                                      want), (req, start)
+                with numpy_path():
+                    assert np.array_equal(scorer.scores(req, start), want)
+
+
+@given(prototype_sets(), configs, st.lists(requests, min_size=1, max_size=3))
+@example(([[WILDCARD, WILDCARD], [*b"ab"], [WILDCARD]], [[0.5, 1.0], [1.0, 0.25], [1.0]]),
+         ScoringConfig(), [b"ab", b"", b"zzz"])  # zero spans beside a positive one
+def test_relative_distances_equal_masked_form(protos, cfg, reqs):
     scorer = PrototypeScorer(*protos, cfg)
+    span = scorer.max_scores - scorer.min_scores
+    ok = span > 0
     for req in reqs:
-        native_scores = scorer.scores(req)
-        assert np.array_equal(native_scores, scorer._scores_numpy(req)), req
-        with numpy_path():
-            assert np.array_equal(native_scores, scorer.scores(req))
+        s = scorer.scores(req)
+        want = np.ones(len(s))
+        want[ok] = 1.0 - (s[ok] - scorer.min_scores[ok]) / span[ok]
+        np.clip(want, 0.0, 1.0, out=want)
+        got = scorer.relative_distances(req)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(st.lists(st.lists(st.sampled_from(b"abcd"), min_size=1, max_size=16).map(bytes),
+                min_size=1, max_size=20), configs)
+def test_pairwise_distances_equal_numpy_as_int64(seqs, cfg):
+    got = pairwise_distances(seqs, cfg)
+    with numpy_path():
+        want = pairwise_distances(seqs, cfg)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler (cc)")
+    build = subprocess.run(
+        [compiler, *native._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "dp.so"), str(native.SOURCE)],
+        capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
 
 
 @given(requests, requests, configs)
