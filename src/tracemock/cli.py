@@ -11,6 +11,10 @@ evaluation harness:
     bench     time the three responders on a trace (JSON report)
 
 Usage errors exit 2 (argparse), operational failures exit 1.
+
+Only what ``record`` needs is imported at module level, so the recording
+proxy runs without numpy or asyncio loaded and starts and exits quickly.
+Every other command imports its modules inside its handler.
 """
 
 import argparse
@@ -19,18 +23,10 @@ import json
 import logging
 import sys
 
-from .alignment import ScoringConfig
 from .errors import TracemockError
 from .framing import FramingConfig
-from .harness import (HashResponderFactory, PrototypeResponderFactory,
-                      WholeLibraryResponderFactory, benchmark,
-                      confusion_protocol_spec, cross_validate,
-                      default_protocol_spec, long_payload_protocol_spec,
-                      paper_example_library, synthetic_library)
-from .model import build_model, load_model, save_model
 from .proxy import record_proxy
-from .trace import load_library, save_library
-from .emulator import serve
+from .trace import load_library
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +38,9 @@ def _endpoint(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _scoring_from(args) -> ScoringConfig:
+def _scoring_from(args):
+    from .alignment import ScoringConfig
+
     return ScoringConfig(match_score=args.match, mismatch_penalty=args.mismatch,
                          gap_penalty=args.gap, wildcard_score=args.wildcard)
 
@@ -68,6 +66,11 @@ def _emit_report(report, out_path: str | None):
 
 
 def _cmd_gen(args) -> int:
+    from .harness import (confusion_protocol_spec, default_protocol_spec,
+                          long_payload_protocol_spec, paper_example_library,
+                          synthetic_library)
+    from .trace import save_library
+
     if args.paper_example:
         library = paper_example_library()
     else:
@@ -87,6 +90,8 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .model import build_model, save_model
+
     library = load_library(args.trace)
     model = build_model(library, args.clusters, args.threshold,
                         _scoring_from(args), args.min_field_length)
@@ -97,6 +102,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .emulator import serve
+    from .model import load_model
+
     model = load_model(args.model)
     framing = FramingConfig.parse(args.framing)
     serve(model, args.listen, framing)
@@ -104,6 +112,9 @@ def _cmd_serve(args) -> int:
 
 
 def _factory_for(args):
+    from .harness import (HashResponderFactory, PrototypeResponderFactory,
+                          WholeLibraryResponderFactory)
+
     if args.responder == "prototype":
         return PrototypeResponderFactory(args.clusters, args.threshold,
                                          _scoring_from(args))
@@ -113,6 +124,8 @@ def _factory_for(args):
 
 
 def _cmd_validate(args) -> int:
+    from .harness import cross_validate
+
     library = load_library(args.trace)
     report = cross_validate(library, _factory_for(args), folds=args.folds,
                             repeats=args.repeats, seed=args.seed)
@@ -124,6 +137,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     import random
+
+    from .harness import benchmark
+    from .model import build_model
 
     library = load_library(args.trace)
     model = build_model(library, args.clusters, args.threshold,

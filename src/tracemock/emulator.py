@@ -26,16 +26,14 @@ import numpy as np
 from .alignment import (DEFAULT_SCORING, PrototypeScorer, ScoringConfig,
                         as_symbols)
 from .errors import EmptyInputError, FramingProtocolError
-from .fields import (SymmetricField, find_symmetric_fields, project_field,
-                     substitute_response)
+from .fields import substitute_response
 from .framing import (MODE_IDLE, READ_CHUNK, FrameDecoder, FramingConfig,
                       encode)
 from .model import MatchingNode, OpaqueServiceModel
 
 __all__ = [
-    "MatchOutcome", "SymmetricField", "FramingConfig", "RequestMatcher",
-    "match_request", "find_symmetric_fields", "project_field",
-    "generate_response", "EmulatorServer", "serve",
+    "MatchOutcome", "RequestMatcher", "match_request", "generate_response",
+    "EmulatorServer", "serve",
 ]
 
 logger = logging.getLogger(__name__)

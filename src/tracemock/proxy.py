@@ -1,11 +1,15 @@
 """Recording proxy: capture request/response exchanges on the wire.
 
-Sits between a client and the real service, forwards framed messages both
-ways, and appends one transaction per request/response pair.  Pairing is
-strictly sequential per connection (the wire gives no other signal for an
-unknown protocol).  Requests whose response never arrives are dropped and
-logged, not recorded.  Indices are assigned sequentially from 0 in pairing
-order across all connections.
+Sits between a client and the real service and forwards framed messages
+both ways.  As soon as a request is paired with its response and the
+reply is forwarded, one trace record is appended to the open trace file.
+Pairing is strictly sequential per connection (the wire gives no other
+signal for an unknown protocol).  Requests whose response never arrives
+are dropped and logged, not recorded.  Indices are assigned sequentially
+from 0 in pairing order across all connections, and records reach the file
+in index order.  Nothing is kept in memory, so memory stays bounded however
+long the recording runs, and a kill loses at most the file's unflushed
+buffer.
 """
 
 import contextlib
@@ -13,11 +17,12 @@ import logging
 import socket
 import threading
 import time
+from typing import TextIO
 
 from .errors import (FramingProtocolError, FramingTimeoutError,
                      TargetUnreachableError)
 from .framing import FramingConfig, MessageStream
-from .trace import Transaction, TransactionLibrary, save_library
+from .trace import Transaction, format_record
 
 logger = logging.getLogger(__name__)
 
@@ -25,22 +30,25 @@ DEFAULT_RESPONSE_TIMEOUT_MS = 5000
 
 
 class RecordingProxy:
-    """Threaded TCP proxy that records framed exchanges.
+    """Threaded TCP proxy that records framed exchanges to a trace file.
 
-    Appends to the in-memory library under a lock, so indices stay unique
-    and ordering is the pairing order even with concurrent clients.  Each
-    connection's thread is tracked only while it runs.
+    Each paired exchange is given its index and appended to ``out`` as one
+    trace record under a lock, so indices stay unique and the file holds
+    them in pairing order even with concurrent clients.  No transaction is
+    kept in memory.  Each connection's thread is tracked only while it
+    runs.  ``stop()`` closes ``out``.
     """
 
     def __init__(self, listen: tuple[str, int], target: tuple[str, int],
-                 framing: FramingConfig = FramingConfig(),
+                 framing: FramingConfig, out: TextIO,
                  response_timeout_ms: int = DEFAULT_RESPONSE_TIMEOUT_MS):
         self.target = target
         self.framing = framing
         self.response_timeout_ms = response_timeout_ms
         self._listen = listen
-        self._transactions: list[Transaction] = []
-        self._lock = threading.Lock()  # guards _transactions and _live
+        self._out = out
+        self._count = 0
+        self._lock = threading.Lock()  # guards _out, _count and _live
         self._live: dict[threading.Thread, list[socket.socket]] = {}
         self._sock: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -51,11 +59,6 @@ class RecordingProxy:
         if self._sock is None:
             raise RuntimeError("proxy not started")
         return self._sock.getsockname()[:2]
-
-    @property
-    def library(self) -> TransactionLibrary:
-        with self._lock:
-            return TransactionLibrary(tuple(self._transactions))
 
     def start(self) -> tuple[str, int]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -115,8 +118,15 @@ class RecordingProxy:
                     return
                 client.write(response)
                 with self._lock:
-                    index = len(self._transactions)
-                    self._transactions.append(Transaction(index, request, response))
+                    if self._out.closed:  # stop() gave up joining this thread
+                        return
+                    try:
+                        self._out.write(format_record(
+                            Transaction(self._count, request, response)))
+                    except OSError as exc:
+                        logger.error("peer=%s trace write error: %s", peer, exc)
+                        return
+                    self._count += 1
         except TargetUnreachableError as exc:
             logger.error("peer=%s %s", peer, exc)
         except (ConnectionError, OSError, FramingProtocolError) as exc:
@@ -126,12 +136,15 @@ class RecordingProxy:
                 for sock in self._live.pop(threading.current_thread()):
                     sock.close()
 
-    def stop(self) -> TransactionLibrary:
-        """Stop accepting, end every connection and return the library.
+    def stop(self) -> int:
+        """Stop accepting, end every connection, close the trace file and
+        return the number of transactions recorded.
 
         close() wakes neither a blocked accept() nor recv() on Linux, so the
-        sockets are shut down first.  Handlers record a reply they have sent
-        before they end, and stop() joins them, so the library holds it.
+        sockets are shut down first.  Handlers append a reply they have
+        forwarded before they end, and stop() joins them, so the file holds
+        it.  The file is closed under the lock, so a handler that outlives
+        its join never writes to a closed file.
         """
         self._stopping.set()
         if self._sock is not None:
@@ -145,7 +158,9 @@ class RecordingProxy:
             handlers = list(self._live)
         for t in handlers:
             t.join(timeout=2.0)
-        return self.library
+        with self._lock:
+            self._out.close()
+            return self._count
 
 
 def _shutdown(sock: socket.socket) -> None:
@@ -154,17 +169,21 @@ def _shutdown(sock: socket.socket) -> None:
 
 
 def record_proxy(listen: tuple[str, int], target: tuple[str, int],
-                 framing: FramingConfig, out) -> TransactionLibrary:
-    """Record until interrupted, then persist the library to ``out``."""
-    proxy = RecordingProxy(listen, target, framing)
-    proxy.start()
-    try:
-        while True:
-            time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        library = proxy.stop()
-        save_library(library, out)
-        logger.info("saved %d transactions to %s", len(library), out)
-    return library
+                 framing: FramingConfig, out) -> int:
+    """Record to the trace file ``out`` until interrupted.
+
+    ``out`` is opened before the proxy listens, so an unwritable path fails
+    before anything is recorded.  Returns the number of transactions.
+    """
+    with open(out, "w", encoding="ascii", newline="") as fh:
+        proxy = RecordingProxy(listen, target, framing, fh)
+        proxy.start()
+        try:
+            while True:
+                time.sleep(0.5)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            count = proxy.stop()
+            logger.info("recorded %d transactions to %s", count, out)
+    return count

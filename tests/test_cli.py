@@ -1,13 +1,25 @@
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import tracemock
 from tracemock.cli import main
 from tracemock.framing import FramingConfig, MessageStream
 from tracemock.harness import PAPER_EXAMPLE_ROWS
-from tracemock.trace import load_library
+from tracemock.trace import TransactionLibrary, load_library, save_library
+
+from test_proxy import EchoServer
+
+SRC = Path(tracemock.__file__).resolve().parents[1]
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def run_cli(*argv):
@@ -28,6 +40,96 @@ class TestGen:
         run_cli("gen", "-n", 40, "--seed", 3, "-o", a)
         run_cli("gen", "-n", 40, "--seed", 3, "-o", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def tracemock_process(*argv) -> subprocess.Popen:
+    """``tracemock`` as a child process, its standard error piped."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "tracemock.cli", *map(str, argv)],
+        env=CHILD_ENV, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+
+
+class TestRecordCommand:
+    FRAMING = FramingConfig("length", length_prefix_bytes=4)
+
+    def test_sigint_with_open_connections_leaves_the_whole_trace(self, tmp_path):
+        echo = EchoServer(self.FRAMING)
+        out = tmp_path / "recorded.trace"
+        proc = tracemock_process("record", "--listen", "127.0.0.1:0",
+                                 "--target", "%s:%d" % echo.address,
+                                 "--framing", "length:4", "-o", out)
+        watchdog = threading.Timer(30, proc.kill)  # unblocks the reads below
+        watchdog.start()
+        conns = []
+        try:
+            ready = None
+            while ready is None:
+                line = proc.stderr.readline()
+                assert line, "record exited before it listened"
+                ready = re.search(r"recording ([\d.]+):(\d+) ->", line)
+            address = (ready.group(1), int(ready.group(2)))
+            conns = [socket.create_connection(address, timeout=5)
+                     for _ in range(2)]
+            streams = [MessageStream(c, self.FRAMING) for c in conns]
+            sent = []  # (connection, request, response)
+            for i in range(24):  # alternate the connections, one at a time
+                request = b"req-%02d\t\x00\\" % i
+                stream = streams[i % 2]
+                stream.write(request)
+                response = stream.read()
+                assert response == b"echo:" + request
+                sent.append((i % 2, request, response))
+            proc.send_signal(signal.SIGINT)  # both connections still open
+            _, err = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            for conn in conns:
+                conn.close()
+            echo.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "recorded 24 transactions" in err
+        recorded = list(load_library(out))
+        assert [t.index for t in recorded] == list(range(24))
+        assert sorted((t.request, t.response) for t in recorded) \
+            == sorted((q, r) for _, q, r in sent)
+        # A handler appends after it forwards the reply, so pairing order
+        # across connections is the proxy's; within one it is the wire's.
+        connection = {q: c for c, q, _ in sent}
+        for c in (0, 1):
+            assert [t.request for t in recorded if connection[t.request] == c] \
+                == [q for cc, q, _ in sent if cc == c]
+        expected = tmp_path / "expected.trace"
+        save_library(TransactionLibrary(tuple(recorded)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_unwritable_output_fails_before_listening(self, tmp_path):
+        proc = tracemock_process("record", "--listen", "127.0.0.1:0",
+                                 "--target", "127.0.0.1:9",
+                                 "-o", tmp_path / "no" / "such" / "x.trace")
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 1, err
+        assert "error:" in err
+        assert "recording" not in err
+
+    def test_record_path_loads_neither_numpy_nor_asyncio(self):
+        probe = ("import json, sys; import tracemock; "
+                 "package = sorted(m for m in sys.modules "
+                 "if m.startswith('tracemock.')); import tracemock.cli; "
+                 "print(json.dumps([package, sorted({'numpy', 'asyncio'} "
+                 "& set(sys.modules))]))")
+        result = subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV,
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[], []]
 
 
 class TestBuildAndServe:

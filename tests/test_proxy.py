@@ -1,9 +1,12 @@
+import io
+import logging
 import socket
 import threading
 import time
 
 from tracemock.framing import FramingConfig, MessageStream
 from tracemock.proxy import RecordingProxy
+from tracemock.trace import load_library
 
 
 class EchoServer:
@@ -52,9 +55,24 @@ class EchoServer:
 FRAMING = FramingConfig("length", length_prefix_bytes=4)
 
 
-def test_single_exchange_recorded_byte_exact():
+def recording_proxy(target, path) -> RecordingProxy:
+    """A proxy recording to ``path``; its stop() closes the file."""
+    return RecordingProxy(("127.0.0.1", 0), target, FRAMING,
+                          open(path, "w", encoding="ascii", newline=""))
+
+
+def stop_and_read(proxy, path):
+    """Stop the proxy and read its trace back; stop() returns its length."""
+    count = proxy.stop()
+    library = load_library(path)
+    assert len(library) == count
+    return library
+
+
+def test_single_exchange_recorded_byte_exact(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
@@ -62,7 +80,7 @@ def test_single_exchange_recorded_byte_exact():
             stream.write(b"payload-123")
             assert stream.read() == b"echo:payload-123"
         time.sleep(0.1)
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
     finally:
         echo.close()
     assert len(library) == 1
@@ -71,9 +89,10 @@ def test_single_exchange_recorded_byte_exact():
     assert library[0].response == b"echo:payload-123"
 
 
-def test_pipelined_requests_recorded_in_order():
+def test_pipelined_requests_recorded_in_order(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     sent = [b"msg-%02d" % i for i in range(10)]
     try:
@@ -83,50 +102,53 @@ def test_pipelined_requests_recorded_in_order():
                 stream.write(payload)
                 assert stream.read() == b"echo:" + payload
         time.sleep(0.1)
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
     finally:
         echo.close()
     assert [t.request for t in library] == sent
     assert [t.index for t in library] == list(range(10))
 
 
-def test_target_closing_before_reply_records_nothing():
+def test_target_closing_before_reply_records_nothing(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING, close_before_reply=True)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = MessageStream(sock, FRAMING)
             stream.write(b"doomed")
             assert stream.read() is None  # proxy surfaces the failure by closing
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
     finally:
         echo.close()
     assert len(library) == 0
 
 
-def test_unreachable_target_closes_client():
+def test_unreachable_target_closes_client(tmp_path):
+    trace = tmp_path / "recorded.trace"
     # grab a port that is certainly closed
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     dead_address = probe.getsockname()[:2]
     probe.close()
 
-    proxy = RecordingProxy(("127.0.0.1", 0), dead_address, FRAMING)
+    proxy = recording_proxy(dead_address, trace)
     host, port = proxy.start()
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = MessageStream(sock, FRAMING)
             assert stream.read() is None
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
     finally:
         pass
     assert len(library) == 0
 
 
-def test_concurrent_clients_unique_indices():
+def test_concurrent_clients_unique_indices(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     errors = []
 
@@ -148,18 +170,19 @@ def test_concurrent_clients_unique_indices():
     for t in threads:
         t.join(timeout=20)
     time.sleep(0.2)
-    library = proxy.stop()
+    library = stop_and_read(proxy, trace)
     echo.close()
     assert errors == []
     assert len(library) == 36
-    assert sorted(t.index for t in library) == list(range(36))
+    assert [t.index for t in library] == list(range(36))  # file order
     for t in library:
         assert t.response == b"echo:" + t.request
 
 
-def test_sequential_connections_leave_no_finished_threads_tracked():
+def test_sequential_connections_leave_no_finished_threads_tracked(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     try:
         for i in range(200):
@@ -174,15 +197,16 @@ def test_sequential_connections_leave_no_finished_threads_tracked():
         while proxy._live and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not proxy._live
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
     finally:
         echo.close()
     assert len(library) == 200
 
 
-def test_stop_with_idle_peers_is_prompt_and_keeps_replies():
+def test_stop_with_idle_peers_is_prompt_and_keeps_replies(tmp_path):
+    trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    proxy = recording_proxy(echo.address, trace)
     host, port = proxy.start()
     peers = []
     try:
@@ -193,7 +217,7 @@ def test_stop_with_idle_peers_is_prompt_and_keeps_replies():
             stream.write(b"idle-%d" % i)
             assert stream.read() == b"echo:idle-%d" % i
         started = time.perf_counter()
-        library = proxy.stop()
+        library = stop_and_read(proxy, trace)
         assert time.perf_counter() - started < 1.0
         assert sorted(t.request for t in library) == [b"idle-0", b"idle-1"]
         assert not proxy._live
@@ -204,3 +228,28 @@ def test_stop_with_idle_peers_is_prompt_and_keeps_replies():
         echo.close()
         for sock in peers:
             sock.close()
+
+
+class FailingTrace(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_trace_write_failure_is_logged_as_such(caplog):
+    echo = EchoServer(FRAMING)
+    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING,
+                           FailingTrace())
+    host, port = proxy.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="tracemock.proxy"):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                stream = MessageStream(sock, FRAMING)
+                stream.write(b"unrecorded")
+                assert stream.read() == b"echo:unrecorded"
+                assert stream.read() is None  # the proxy stops recording it
+            assert proxy.stop() == 0
+    finally:
+        echo.close()
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("trace write error" in m for m in messages)
+    assert not any("connection error" in m for m in messages)
