@@ -217,10 +217,14 @@ class EmulatorServer:
             loop.close()
 
     def serve_forever(self):
-        """Block until interrupted; used by the CLI."""
-        if self._sock is None:
-            self.start()
+        """Block until interrupted; used by the CLI.
+
+        An interrupt that lands while ``start()`` still logs its ready line
+        (already readable by whoever waits for it) also stops cleanly.
+        """
         try:
+            if self._sock is None:
+                self.start()
             while True:
                 time.sleep(0.5)
         except KeyboardInterrupt:

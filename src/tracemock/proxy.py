@@ -10,6 +10,10 @@ from 0 in pairing order across all connections, and records reach the file
 in index order.  Nothing is kept in memory, so memory stays bounded however
 long the recording runs, and a kill loses at most the file's unflushed
 buffer.
+
+``record_proxy`` binds the listening address first, then opens the trace
+file, then listens.  A busy address therefore fails before an existing
+trace is truncated, and an unwritable path fails before anything listens.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ from typing import TextIO
 from .errors import (FramingProtocolError, FramingTimeoutError,
                      TargetUnreachableError)
 from .framing import FramingConfig, MessageStream
-from .trace import Transaction, format_record
+from .trace import format_record
 
 logger = logging.getLogger(__name__)
 
@@ -32,21 +36,22 @@ DEFAULT_RESPONSE_TIMEOUT_MS = 5000
 class RecordingProxy:
     """Threaded TCP proxy that records framed exchanges to a trace file.
 
-    Each paired exchange is given its index and appended to ``out`` as one
-    trace record under a lock, so indices stay unique and the file holds
-    them in pairing order even with concurrent clients.  No transaction is
-    kept in memory.  Each connection's thread is tracked only while it
-    runs.  ``stop()`` closes ``out``.
+    ``bind()`` binds the listening address; ``start(out)`` listens and
+    appends each paired exchange to ``out`` as one trace record, given its
+    index under a lock, so indices stay unique and the file holds them in
+    pairing order even with concurrent clients.  No transaction is kept in
+    memory.  Each connection's thread is tracked only while it runs.
+    ``stop()`` closes ``out``.
     """
 
     def __init__(self, listen: tuple[str, int], target: tuple[str, int],
-                 framing: FramingConfig, out: TextIO,
+                 framing: FramingConfig,
                  response_timeout_ms: int = DEFAULT_RESPONSE_TIMEOUT_MS):
         self.target = target
         self.framing = framing
         self.response_timeout_ms = response_timeout_ms
         self._listen = listen
-        self._out = out
+        self._out: TextIO | None = None
         self._count = 0
         self._lock = threading.Lock()  # guards _out, _count and _live
         self._live: dict[threading.Thread, list[socket.socket]] = {}
@@ -60,12 +65,25 @@ class RecordingProxy:
             raise RuntimeError("proxy not started")
         return self._sock.getsockname()[:2]
 
-    def start(self) -> tuple[str, int]:
+    def bind(self) -> tuple[str, int]:
+        """Bind the listening address; no connection is accepted yet."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(self._listen)
-        sock.listen(64)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(self._listen)
+        except OSError:
+            sock.close()
+            raise
         self._sock = sock
+        return self.address
+
+    def start(self, out: TextIO) -> tuple[str, int]:
+        """Listen, binding first if ``bind()`` was not called, and record
+        every exchange to ``out``."""
+        if self._sock is None:
+            self.bind()
+        self._out = out
+        self._sock.listen(64)
         self._acceptor = threading.Thread(target=self._accept_loop, daemon=True,
                                           name="proxy-accept")
         self._acceptor.start()
@@ -121,8 +139,8 @@ class RecordingProxy:
                     if self._out.closed:  # stop() gave up joining this thread
                         return
                     try:
-                        self._out.write(format_record(
-                            Transaction(self._count, request, response)))
+                        self._out.write(
+                            format_record(self._count, request, response))
                     except OSError as exc:
                         logger.error("peer=%s trace write error: %s", peer, exc)
                         return
@@ -159,7 +177,8 @@ class RecordingProxy:
         for t in handlers:
             t.join(timeout=2.0)
         with self._lock:
-            self._out.close()
+            if self._out is not None:
+                self._out.close()
             return self._count
 
 
@@ -172,18 +191,24 @@ def record_proxy(listen: tuple[str, int], target: tuple[str, int],
                  framing: FramingConfig, out) -> int:
     """Record to the trace file ``out`` until interrupted.
 
-    ``out`` is opened before the proxy listens, so an unwritable path fails
-    before anything is recorded.  Returns the number of transactions.
+    The address is bound before ``out`` is opened (and so truncated), and
+    ``out`` is opened before the proxy listens.  Returns the number of
+    transactions; the file is closed when this returns.
     """
-    with open(out, "w", encoding="ascii", newline="") as fh:
-        proxy = RecordingProxy(listen, target, framing, fh)
-        proxy.start()
-        try:
-            while True:
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            count = proxy.stop()
-            logger.info("recorded %d transactions to %s", count, out)
+    proxy = RecordingProxy(listen, target, framing)
+    proxy.bind()
+    try:
+        fh = open(out, "w", encoding="ascii", newline="")
+    except OSError:
+        proxy.stop()
+        raise
+    try:
+        proxy.start(fh)
+        while True:
+            time.sleep(0.5)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        count = proxy.stop()  # closes fh
+        logger.info("recorded %d transactions to %s", count, out)
     return count

@@ -100,10 +100,9 @@ def decode_field(text: str, record: int) -> bytes:
     return bytes(out)
 
 
-def format_record(transaction: Transaction) -> str:
-    return "\t".join((str(transaction.index),
-                      encode_field(transaction.request),
-                      encode_field(transaction.response))) + "\n"
+def format_record(index: int, request: bytes, response: bytes) -> str:
+    return "\t".join((str(index), encode_field(request),
+                      encode_field(response))) + "\n"
 
 
 def parse_record(line: str, record: int) -> Transaction:
@@ -148,4 +147,4 @@ def save_library(library: TransactionLibrary, path) -> None:
     """Write a trace file; load_library(save_library(L)) reproduces L exactly."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         for tx in library:
-            fh.write(format_record(tx))
+            fh.write(format_record(tx.index, tx.request, tx.response))

@@ -20,6 +20,7 @@ from test_proxy import EchoServer
 
 SRC = Path(tracemock.__file__).resolve().parents[1]
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC))
+CHILD_ENV.pop("PYTHONUNBUFFERED", None)  # buffered, so a lost flush shows
 
 
 def run_cli(*argv):
@@ -42,12 +43,32 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+def tracemock_argv(*argv) -> list[str]:
+    return [sys.executable, "-m", "tracemock.cli", *map(str, argv)]
+
+
 def tracemock_process(*argv) -> subprocess.Popen:
     """``tracemock`` as a child process, its standard error piped."""
     return subprocess.Popen(
-        [sys.executable, "-m", "tracemock.cli", *map(str, argv)],
-        env=CHILD_ENV, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True)
+        tracemock_argv(*argv), env=CHILD_ENV, stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def tracemock_run(*argv) -> subprocess.CompletedProcess:
+    """``tracemock`` run to completion, its output captured."""
+    return subprocess.run(tracemock_argv(*argv), env=CHILD_ENV,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=60)
+
+
+def read_address(proc, pattern: str) -> tuple[str, int]:
+    """Read ``proc``'s standard error until a line gives its bound address."""
+    while True:
+        line = proc.stderr.readline()
+        assert line, "the process exited before it listened"
+        found = re.search(pattern, line)
+        if found:
+            return found.group(1), int(found.group(2))
 
 
 class TestRecordCommand:
@@ -63,12 +84,7 @@ class TestRecordCommand:
         watchdog.start()
         conns = []
         try:
-            ready = None
-            while ready is None:
-                line = proc.stderr.readline()
-                assert line, "record exited before it listened"
-                ready = re.search(r"recording ([\d.]+):(\d+) ->", line)
-            address = (ready.group(1), int(ready.group(2)))
+            address = read_address(proc, r"recording ([\d.]+):(\d+) ->")
             conns = [socket.create_connection(address, timeout=5)
                      for _ in range(2)]
             streams = [MessageStream(c, self.FRAMING) for c in conns]
@@ -120,6 +136,20 @@ class TestRecordCommand:
         assert "error:" in err
         assert "recording" not in err
 
+    def test_busy_listen_address_leaves_an_existing_trace(self, tmp_path):
+        out = tmp_path / "keep.trace"
+        kept = bytes(range(100))
+        out.write_bytes(kept)
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            result = tracemock_run("record", "--listen",
+                                   "%s:%d" % holder.getsockname(),
+                                   "--target", "127.0.0.1:9", "-o", out)
+        assert result.returncode == 1, result.stderr
+        assert "error:" in result.stderr
+        assert out.read_bytes() == kept
+
     def test_record_path_loads_neither_numpy_nor_asyncio(self):
         probe = ("import json, sys; import tracemock; "
                  "package = sorted(m for m in sys.modules "
@@ -130,6 +160,59 @@ class TestRecordCommand:
                                 capture_output=True, text=True, timeout=30)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [[], []]
+
+
+class TestProcessExit:
+    """The command ends the process without interpreter teardown; what it
+    wrote is flushed first, and its exit code is kept."""
+
+    def test_gen_with_piped_stdout_prints_and_writes_everything(self, tmp_path):
+        out = tmp_path / "piped.trace"
+        result = tracemock_run("gen", "-n", 300, "--seed", 4, "-o", out)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote 300 transactions to {out}\n"
+        expected = tmp_path / "expected.trace"
+        assert run_cli("gen", "-n", 300, "--seed", 4, "-o", expected) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_serve_exits_zero_on_sigint_with_a_connection_open(self, tmp_path):
+        trace = tmp_path / "paper.trace"
+        model_path = tmp_path / "paper.model"
+        run_cli("gen", "--paper-example", "-o", trace)
+        assert run_cli("build", "-i", trace, "-o", model_path,
+                       "--clusters", 2) == 0
+        proc = tracemock_process("serve", "-m", model_path, "--listen",
+                                 "127.0.0.1:0", "--framing", "delimiter")
+        framing = FramingConfig("delimiter", delimiter=b"}")
+        watchdog = threading.Timer(30, proc.kill)  # unblocks the reads below
+        watchdog.start()
+        try:
+            address = read_address(proc, r"serving .* on ([\d.]+):(\d+)")
+            with socket.create_connection(address, timeout=5) as conn:
+                stream = MessageStream(conn, framing)
+                stream.write(b"{id:37,op:A,sn:Durand}")
+                assert stream.read() == b"{id:37,op:AddRsp,result:Ok}"
+                proc.send_signal(signal.SIGINT)  # the connection still open
+                _, err = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "exchange peer=" in err  # logged after the serving line
+
+    def test_usage_error_exits_two(self, tmp_path):
+        result = tracemock_run("build", "-i", tmp_path / "t.trace",
+                               "-o", tmp_path / "m.model")
+        assert result.returncode == 2
+        assert "--clusters" in result.stderr
+
+    def test_operational_error_exits_one(self, tmp_path):
+        result = tracemock_run("build", "-i", tmp_path / "missing.trace",
+                               "-o", tmp_path / "m.model", "--clusters", 2)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
 
 
 class TestBuildAndServe:

@@ -55,10 +55,11 @@ class EchoServer:
 FRAMING = FramingConfig("length", length_prefix_bytes=4)
 
 
-def recording_proxy(target, path) -> RecordingProxy:
-    """A proxy recording to ``path``; its stop() closes the file."""
-    return RecordingProxy(("127.0.0.1", 0), target, FRAMING,
-                          open(path, "w", encoding="ascii", newline=""))
+def start_recording(target, path):
+    """A started proxy recording to ``path``, and its address; the proxy's
+    stop() closes the file."""
+    proxy = RecordingProxy(("127.0.0.1", 0), target, FRAMING)
+    return proxy, proxy.start(open(path, "w", encoding="ascii", newline=""))
 
 
 def stop_and_read(proxy, path):
@@ -72,8 +73,7 @@ def stop_and_read(proxy, path):
 def test_single_exchange_recorded_byte_exact(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = MessageStream(sock, FRAMING)
@@ -92,8 +92,7 @@ def test_single_exchange_recorded_byte_exact(tmp_path):
 def test_pipelined_requests_recorded_in_order(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     sent = [b"msg-%02d" % i for i in range(10)]
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
@@ -112,8 +111,7 @@ def test_pipelined_requests_recorded_in_order(tmp_path):
 def test_target_closing_before_reply_records_nothing(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING, close_before_reply=True)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = MessageStream(sock, FRAMING)
@@ -133,8 +131,7 @@ def test_unreachable_target_closes_client(tmp_path):
     dead_address = probe.getsockname()[:2]
     probe.close()
 
-    proxy = recording_proxy(dead_address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(dead_address, trace)
     try:
         with socket.create_connection((host, port), timeout=5) as sock:
             stream = MessageStream(sock, FRAMING)
@@ -148,8 +145,7 @@ def test_unreachable_target_closes_client(tmp_path):
 def test_concurrent_clients_unique_indices(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     errors = []
 
     def client(worker):
@@ -182,8 +178,7 @@ def test_concurrent_clients_unique_indices(tmp_path):
 def test_sequential_connections_leave_no_finished_threads_tracked(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     try:
         for i in range(200):
             with socket.create_connection((host, port), timeout=5) as sock:
@@ -206,8 +201,7 @@ def test_sequential_connections_leave_no_finished_threads_tracked(tmp_path):
 def test_stop_with_idle_peers_is_prompt_and_keeps_replies(tmp_path):
     trace = tmp_path / "recorded.trace"
     echo = EchoServer(FRAMING)
-    proxy = recording_proxy(echo.address, trace)
-    host, port = proxy.start()
+    proxy, (host, port) = start_recording(echo.address, trace)
     peers = []
     try:
         for i in range(2):
@@ -237,9 +231,8 @@ class FailingTrace(io.StringIO):
 
 def test_trace_write_failure_is_logged_as_such(caplog):
     echo = EchoServer(FRAMING)
-    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING,
-                           FailingTrace())
-    host, port = proxy.start()
+    proxy = RecordingProxy(("127.0.0.1", 0), echo.address, FRAMING)
+    host, port = proxy.start(FailingTrace())
     try:
         with caplog.at_level(logging.WARNING, logger="tracemock.proxy"):
             with socket.create_connection((host, port), timeout=5) as sock:
